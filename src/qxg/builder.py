@@ -198,9 +198,12 @@ class Builder:
             x, y = s.bbox.x, s.bbox.y
             cx, cy = (x.lo + x.hi) / 2.0, (y.lo + y.hi) / 2.0
             states.append((s.object_id, x.lo, x.hi, y.lo, y.hi, cx, cy))
-            if s.object_id not in node_classes:
-                node_classes[s.object_id] = s.obj_class
         states.sort(key=lambda st: st[0])
+        for a, b in zip(states, states[1:]):
+            if a[0] == b[0]:
+                raise ValueError(f"frame {frame.index} holds object {a[0]!r} twice")
+        for s in frame.objects:
+            node_classes.setdefault(s.object_id, s.obj_class)
 
         frame_index = frame.index
         pairs_updated = 0
@@ -294,10 +297,6 @@ class Builder:
         self._last_index = frame_index
 
         return BuilderStats(frame_index, len(states), pairs_updated, time.perf_counter_ns() - t0)
-
-    @property
-    def last_seen_center(self) -> dict[str, tuple[float, float]]:
-        return dict(self._last_center)
 
 
 def build(

@@ -132,6 +132,10 @@ def _atomic_write(path: Path, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -417,28 +417,33 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
     )
 
 
-def _tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        f = tree.feature[node]
-        if f < 0:
-            out[rows] = tree.fraction[node]
-        else:
-            mask = X[rows, f] > 0.5
-            stack.append((tree.right[node], rows[mask]))
-            stack.append((tree.left[node], rows[~mask]))
-    return out
+def _forest_scores(trees: list[Tree], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk every row of ``X`` down every tree at once, one level per step.
 
-
-def _tree_leaf(tree: Tree, vector: np.ndarray) -> int:
-    node = 0
-    while tree.feature[node] >= 0:
-        node = tree.right[node] if vector[tree.feature[node]] > 0.5 else tree.left[node]
-    return int(node)
+    The trees are packed into one node array with root offsets, and leaves
+    link to themselves, so finished walks stay put while deeper ones go on.
+    Returns the forest score per row and the tree-local leaf id per row and
+    tree.  Leaf fractions are summed in tree order: a pairwise ``sum`` or
+    ``mean`` differs in the last bits and would change explanation JSON."""
+    sizes = np.array([tree.feature.size for tree in trees])
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    own = np.arange(feature.size)
+    left = np.where(feature < 0, own, np.concatenate([tree.left for tree in trees]) + shift)
+    right = np.where(feature < 0, own, np.concatenate([tree.right for tree in trees]) + shift)
+    rows = np.arange(X.shape[0])[:, None]
+    node = np.tile(roots, (X.shape[0], 1))
+    f = feature[node]
+    while (f >= 0).any():
+        # leaves (f == -1) test the last column, but both their links are themselves
+        node = np.where(X[rows, f] > 0.5, right[node], left[node])
+        f = feature[node]
+    leaves = node - roots
+    acc = np.zeros(X.shape[0], dtype=np.float64)
+    for j, tree in enumerate(trees):
+        acc += tree.fraction[leaves[:, j]]
+    return acc / len(trees), leaves
 
 
 @dataclass
@@ -531,11 +536,7 @@ def score(model: Model, action: str, vector: np.ndarray) -> float:
     if action not in model.forests:
         raise UnknownAction(action)
     vector = _check_vector(model, vector)
-    X = vector[None, :]
-    total = 0.0
-    for tree in model.forests[action]:
-        total += _tree_scores(tree, X)[0]
-    return total / len(model.forests[action])
+    return _forest_scores(model.forests[action], vector[None, :])[0][0]
 
 
 def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
@@ -545,14 +546,7 @@ def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
         raise LengthMismatch(
             f"model expects (n, {model.spec.feature_len}) matrices, got shape {X.shape}"
         )
-    out = {}
-    for action in model.actions:
-        trees = model.forests[action]
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in trees:
-            acc += _tree_scores(tree, X)
-        out[action] = acc / len(trees)
-    return out
+    return {action: _forest_scores(model.forests[action], X)[0] for action in model.actions}
 
 
 # -- explanations -------------------------------------------------------------
@@ -586,17 +580,8 @@ class Explanation:
     candidates: tuple[Candidate, ...]
 
 
-def _decision_path(model: Model, action: str, vector: np.ndarray) -> tuple[int, float, int, tuple[PathStep, ...]]:
-    """Pick the tree whose leaf is most confident for this vector (lowest
-    index on ties) and spell out the tests along its root-to-leaf walk."""
-    trees = model.forests[action]
-    best_tree = 0
-    best_leaf = _tree_leaf(trees[0], vector)
-    for i in range(1, len(trees)):
-        leaf = _tree_leaf(trees[i], vector)
-        if trees[i].fraction[leaf] > trees[best_tree].fraction[best_leaf]:
-            best_tree, best_leaf = i, leaf
-    tree = trees[best_tree]
+def _decision_path(model: Model, tree: Tree, vector: np.ndarray) -> tuple[PathStep, ...]:
+    """Spell out the tests along the tree's root-to-leaf walk for this vector."""
     steps = []
     node = 0
     while tree.feature[node] >= 0:
@@ -604,7 +589,7 @@ def _decision_path(model: Model, action: str, vector: np.ndarray) -> tuple[int, 
         value = 1 if vector[f] > 0.5 else 0
         steps.append(PathStep(f, model.spec.describe_feature(f), value))
         node = tree.right[node] if value else tree.left[node]
-    return best_tree, float(tree.fraction[best_leaf]), int(tree.count[best_leaf]), tuple(steps)
+    return tuple(steps)
 
 
 def explain(
@@ -621,24 +606,28 @@ def explain(
 
     Candidates are every object sharing window history with the actor,
     ordered by descending forest score with object id as the tie break,
-    optionally cut off below ``threshold`` and capped at ``k``.
+    optionally cut off below ``threshold`` and capped at ``k``.  Each keeps
+    the decision path of the tree whose leaf is most confident for it
+    (lowest index on ties).
     """
     if action not in model.forests:
         raise UnknownAction(action)
+    trees = model.forests[action]
     samples = extract_features(graph, actor, at_frame, model.spec)
-    scored = []
-    for sample in samples:
-        s = score(model, action, sample.vector)
-        scored.append((sample, s))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].other))
+    # the reshape keeps the width when no object shares the window
+    X = np.array([s.vector for s in samples]).reshape(len(samples), model.spec.feature_len)
+    scores, leaves = _forest_scores(trees, X)
+    order = sorted(range(len(samples)), key=lambda i: (-scores[i], samples[i].other))
     if threshold is not None:
-        scored = [(sample, s) for sample, s in scored if s >= threshold]
+        order = [i for i in order if scores[i] >= threshold]
     if k is not None:
-        scored = scored[:k]
+        order = order[:k]
     window_start = at_frame - model.spec.t + 1
     candidates = []
-    for sample, s in scored:
-        best_tree, leaf_fraction, leaf_count, path = _decision_path(model, action, sample.vector)
+    for i in order:
+        sample = samples[i]
+        best_tree = int(np.argmax([tree.fraction[leaf] for tree, leaf in zip(trees, leaves[i])]))
+        tree, leaf = trees[best_tree], leaves[i, best_tree]
         chain = tuple(
             (f, rel)
             for f, rel in graph.edge_chain(actor, sample.other, at_frame, model.spec.t)
@@ -648,11 +637,11 @@ def explain(
             Candidate(
                 sample.other,
                 graph.node_classes.get(sample.other, "unknown"),
-                s,
+                scores[i],
                 best_tree,
-                leaf_fraction,
-                leaf_count,
-                path,
+                float(tree.fraction[leaf]),
+                int(tree.count[leaf]),
+                _decision_path(model, tree, sample.vector),
                 chain,
             )
         )
@@ -756,8 +745,13 @@ def _tree_to_nodes(tree: Tree) -> list[dict]:
     return nodes
 
 
-def _tree_from_nodes(nodes: list[dict]) -> Tree:
+def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
+    """Rebuild one tree, checking what scoring relies on: nodes in preorder
+    (children after their parent, so every walk ends), features inside the
+    encoding, and leaf fractions in [0, 1] with non-negative counts."""
     n = len(nodes)
+    if n == 0:
+        raise CorruptModel("a tree has no nodes")
     feature = np.full(n, -1, dtype=np.int32)
     left = np.full(n, -1, dtype=np.int32)
     right = np.full(n, -1, dtype=np.int32)
@@ -765,12 +759,16 @@ def _tree_from_nodes(nodes: list[dict]) -> Tree:
     count = np.zeros(n, dtype=np.int32)
     for i, node in enumerate(nodes):
         if "feature" in node:
+            if not (i < node["left"] < n and i < node["right"] < n):
+                raise CorruptModel(f"node {i} links outside nodes {i + 1}..{n - 1}")
+            if not 0 <= node["feature"] < feature_len:
+                raise CorruptModel(f"node {i} tests feature {node['feature']} of {feature_len}")
             feature[i] = node["feature"]
             left[i] = node["left"]
             right[i] = node["right"]
-            if not (0 <= left[i] < n and 0 <= right[i] < n):
-                raise CorruptModel(f"node {i} links outside the tree")
         else:
+            if not (0.0 <= node["fraction"] <= 1.0 and node["count"] >= 0):
+                raise CorruptModel(f"leaf {i}: fraction {node['fraction']}, count {node['count']}")
             fraction[i] = node["fraction"]
             count[i] = node["count"]
     return Tree(feature, left, right, fraction, count)
@@ -832,13 +830,16 @@ def model_from_json(data: bytes | str) -> Model:
                 f"the stored encoding parameters ({spec.feature_len})"
             )
         forests = {
-            action: [_tree_from_nodes(t["nodes"]) for t in forest["trees"]]
+            action: [_tree_from_nodes(t["nodes"], spec.feature_len) for t in forest["trees"]]
             for action, forest in payload["actions"].items()
         }
+        empty = sorted(action for action, trees in forests.items() if not trees)
+        if empty:
+            raise CorruptModel(f"no trees for {empty}")
         model = Model(payload["seed"], spec, cfg, hp, forests)
     except CorruptModel:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"model file is missing or mistypes fields: {exc!r}") from None
     return model
 

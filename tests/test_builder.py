@@ -117,6 +117,14 @@ class TestIncremental:
         with pytest.raises(OutOfOrderFrame):
             builder.push_frame(_frame(1, _state("a", 0, 0)))
 
+    def test_rejects_duplicate_ids(self):
+        builder = Builder("s")
+        with pytest.raises(ValueError, match="'a' twice"):
+            builder.push_frame(_frame(0, _state("a", 0, 0), _state("b", 4, 0), _state("a", 1, 0)))
+        assert builder.graph.edges == {} and builder.graph.node_classes == {}
+        builder.push_frame(_frame(0, _state("a", 0, 0), _state("b", 4, 0)))
+        assert list(builder.graph.edges) == [("a", "b")]
+
     def test_frame_gaps_are_allowed(self):
         builder = Builder("s")
         builder.push_frame(_frame(0, _state("a", 0, 0), _state("b", 4, 0)))

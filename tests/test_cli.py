@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from qxg.builder import build, import_graph
 from qxg.scene import load_trace
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qxg", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -121,6 +123,18 @@ class TestBuild:
         # a frame with k visible objects updates k(k-1)/2 pairs
         assert "5 objects, 10 pairs" in lines[0]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_mode_follows_umask(self, corpus, manifest, tmp_path, umask):
+        trace = corpus / manifest["scenes"][0]["file"]
+        out = tmp_path / "graph.json"
+        old = os.umask(umask)
+        try:
+            result = run_cli("build", "--trace", str(trace), "--out", str(out))
+        finally:
+            os.umask(old)
+        assert result.returncode == 0, result.stderr
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_bad_trace_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
@@ -217,6 +231,21 @@ class TestExplain:
             "--frame", "8", "--actor", "ego", "--action", "Swerving",
         )
         assert result.returncode == 1 and "unknown action 'Swerving'" in result.stderr
+
+    def test_cyclic_tree_is_runtime_error(self, corpus, manifest, model_file, tmp_path):
+        payload = json.loads(model_file.read_bytes())
+        forest = next(iter(payload["actions"].values()))
+        forest["trees"][0]["nodes"][0] = {"feature": 0, "left": 0, "right": 0}
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(json.dumps(payload))
+        entry = _entry(manifest, "StoppingForCrosser")
+        result = run_cli(
+            "explain", "--trace", str(corpus / entry["file"]), "--model", str(cyclic),
+            "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: explain:") and "Traceback" not in result.stderr
 
 
 class TestEval:

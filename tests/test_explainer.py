@@ -290,8 +290,9 @@ class TestTraining:
     def test_single_score_matches_batch(self, mini_model):
         model, dataset = mini_model
         batch = predict_scores(model, dataset.X)
-        for i in (0, 3, 7):
-            assert score(model, "Chase", dataset.X[i]) == pytest.approx(batch["Chase"][i])
+        for action in model.actions:
+            for i, row in enumerate(dataset.X):
+                assert score(model, action, row) == batch[action][i]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InsufficientData):
@@ -400,6 +401,40 @@ class TestExplain:
         assert 0.0 <= candidate.leaf_fraction <= 1.0
         assert candidate.leaf_count >= 1
 
+    def test_path_replays_to_the_most_confident_leaf(self, mini_model):
+        model, _ = mini_model
+        graph = build(_mini_scene(994, "Chase")[0])
+        vectors = {s.other: s.vector for s in extract_features(graph, "ego", 5, model.spec)}
+        trees = model.forests["Chase"]
+        ties = 0
+        for candidate in explain(model, graph, "ego", 5, "Chase").candidates:
+            vector = vectors[candidate.other]
+            reached = []
+            for tree in trees:
+                node = 0
+                while tree.feature[node] >= 0:
+                    hit = vector[tree.feature[node]] > 0.5
+                    node = tree.right[node] if hit else tree.left[node]
+                reached.append(tree.fraction[node])
+            total = 0.0
+            for fraction in reached:  # in tree order, as the forest sums them
+                total += fraction
+            assert candidate.score == total / len(trees)
+            best = max(reached)
+            assert candidate.leaf_fraction == best
+            assert candidate.best_tree == reached.index(best)  # first tree on ties
+            ties += reached.count(best) > 1
+
+            tree, node = trees[candidate.best_tree], 0
+            for step in candidate.path:
+                assert step.feature == tree.feature[node]
+                assert step.value == int(vector[step.feature] > 0.5)
+                node = tree.right[node] if step.value else tree.left[node]
+            assert tree.feature[node] < 0
+            assert tree.fraction[node] == candidate.leaf_fraction
+            assert tree.count[node] == candidate.leaf_count
+        assert ties, "expected a tie to exercise the lowest-index rule"
+
     def test_unknown_action(self, mini_model):
         model, _ = mini_model
         scene, _ = _mini_scene(996, "Idle")
@@ -499,16 +534,30 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             model_from_json(blob)
 
-    def test_corrupt_tree_links(self, mini_model):
+    @pytest.mark.parametrize(
+        "root, match",
+        [
+            ({"feature": 0, "left": 5_000, "right": 5_001}, "links outside"),
+            ({"feature": 0, "left": 0, "right": 0}, "links outside"),  # a cycle
+            ({"feature": 10**6, "left": 1, "right": 2}, "tests feature"),
+            ({"fraction": float("nan"), "count": 3}, "fraction nan"),
+            ("no nodes", "no nodes"),
+            ("no trees", "no trees"),
+        ],
+        ids=["dangling", "cycle", "feature", "nan-fraction", "no-nodes", "no-trees"],
+    )
+    def test_corrupt_tree_links(self, mini_model, root, match):
         model, _ = mini_model
         payload = json.loads(model_to_json(model))
         first_action = next(iter(payload["actions"]))
-        nodes = payload["actions"][first_action]["trees"][0]["nodes"]
-        if "feature" not in nodes[0]:  # degenerate single-leaf tree: fabricate
-            nodes[0] = {"feature": 0, "left": 5_000, "right": 5_001}
+        trees = payload["actions"][first_action]["trees"]
+        if root == "no trees":
+            trees.clear()
+        elif root == "no nodes":
+            trees[0]["nodes"].clear()
         else:
-            nodes[0]["left"] = 5_000
-        with pytest.raises(CorruptModel):
+            trees[0]["nodes"][0] = root
+        with pytest.raises(CorruptModel, match=match):
             model_from_json(json.dumps(payload))
 
     def test_feature_len_consistency_checked(self, mini_model):
