@@ -15,6 +15,7 @@ cross-checks them on random frames.
 from __future__ import annotations
 
 import json
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -34,7 +35,9 @@ from .calculi import (
     RARelation,
     RelationTuple,
     Sector,
-    converse_tuple,
+    converse_allen,
+    converse_star4,
+    converse_tuple,  # not called here; benchmark/tracing.py hooks this name
 )
 from .scene import Frame, Scene
 
@@ -45,9 +48,49 @@ __all__ = [
     "QXG",
     "Builder",
     "build",
+    "pack_code",
+    "unpack_code",
+    "converse_code",
     "export_graph",
     "import_graph",
 ]
+
+
+# -- relation codes -----------------------------------------------------------
+#
+# A stored relation is one integer: the six component indices in mixed radix,
+# x interval relation first.  ``Builder.push_frame`` inlines ``pack_code``.
+
+
+def pack_code(ax, ay, am, bm, band, sector, n_bands: int):
+    """Pack component indices into one relation code.  Plain integers and
+    numpy integer arrays both work."""
+    return ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
+
+
+def unpack_code(code, n_bands: int) -> tuple:
+    """Inverse of :func:`pack_code`: ``(ax, ay, am, bm, band, sector)``."""
+    code, ax = divmod(code, 13)
+    code, ay = divmod(code, 13)
+    code, am = divmod(code, 4)
+    code, bm = divmod(code, 4)
+    sector, band = divmod(code, n_bands)
+    return ax, ay, am, bm, band, sector
+
+
+# calculi's converse maps as index tables
+_ALLEN_CONVERSE = tuple(int(converse_allen(r)) for r in Allen)
+_SECTOR_CONVERSE = tuple(int(converse_star4(s)) for s in Sector)
+
+
+def converse_code(code: int, n_bands: int) -> int:
+    """The code of ``converse_tuple(decode(code))``, component by
+    component: both interval relations and the sector are mirrored, the
+    motion signs swap places and the distance band stays."""
+    ax, ay, am, bm, band, sector = unpack_code(code, n_bands)
+    return pack_code(
+        _ALLEN_CONVERSE[ax], _ALLEN_CONVERSE[ay], bm, am, band, _SECTOR_CONVERSE[sector], n_bands
+    )
 
 
 class OutOfOrderFrame(ValueError):
@@ -90,17 +133,7 @@ class QXG:
     edges: dict[tuple[str, str], EdgeHistory] = field(default_factory=dict)
 
     def decode(self, code: int) -> RelationTuple:
-        ax = code % 13
-        code //= 13
-        ay = code % 13
-        code //= 13
-        am = code % 4
-        code //= 4
-        bm = code % 4
-        code //= 4
-        n_bands = len(self.band_names)
-        band = code % n_bands
-        sector = code // n_bands
+        ax, ay, am, bm, band, sector = unpack_code(code, len(self.band_names))
         return RelationTuple(
             RARelation(Allen(ax), Allen(ay)),
             QTCBRelation(Motion(am), Motion(bm)),
@@ -110,23 +143,10 @@ class QXG:
 
     def relations(self, a: str, b: str) -> list[tuple[int, RelationTuple]]:
         """Full relation history of the pair, oriented as a-against-b."""
-        if a == b:
-            raise ValueError(f"a pair needs two distinct objects, got {a!r} twice")
-        key = (a, b) if a < b else (b, a)
-        history = self.edges.get(key)
-        if history is None:
-            return []
-        flip = key[0] != a
-        out = []
-        for frame, code in zip(history.frames, history.codes):
-            rel = self.decode(code)
-            out.append((frame, converse_tuple(rel) if flip else rel))
-        return out
+        return self.edge_chain(a, b, math.inf, math.inf)
 
-    def edge_chain(
-        self, a: str, b: str, at_frame: int, t: int
-    ) -> list[tuple[int, RelationTuple]]:
-        """The last up-to-``t`` relations of the pair at or before
+    def code_chain(self, a: str, b: str, at_frame: int, t: int) -> list[tuple[int, int]]:
+        """The last up-to-``t`` relation codes of the pair at or before
         ``at_frame``, in ascending frame order, oriented as a-against-b."""
         if a == b:
             raise ValueError(f"a pair needs two distinct objects, got {a!r} twice")
@@ -138,12 +158,17 @@ class QXG:
             return []
         end = bisect_right(history.frames, at_frame)
         start = max(0, end - t)
-        flip = key[0] != a
-        out = []
-        for frame, code in zip(history.frames[start:end], history.codes[start:end]):
-            rel = self.decode(code)
-            out.append((frame, converse_tuple(rel) if flip else rel))
-        return out
+        codes = history.codes[start:end]
+        if key[0] != a:
+            n_bands = len(self.band_names)
+            codes = [converse_code(code, n_bands) for code in codes]
+        return list(zip(history.frames[start:end], codes))
+
+    def edge_chain(
+        self, a: str, b: str, at_frame: int, t: int
+    ) -> list[tuple[int, RelationTuple]]:
+        """:meth:`code_chain` with every code decoded."""
+        return [(frame, self.decode(code)) for frame, code in self.code_chain(a, b, at_frame, t)]
 
     def partners(self, object_id: str) -> list[str]:
         """Every object this one ever shared a frame with, sorted."""
@@ -284,6 +309,7 @@ class Builder:
                 else:
                     sector = 0
 
+                # pack_code, inlined
                 code = ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
                 history = graph_edges.get((a_id, b_id))
                 if history is None:
@@ -343,6 +369,9 @@ def graph_to_dict(graph: QXG) -> dict:
 
 
 def graph_from_dict(payload: dict) -> QXG:
+    """Rebuild a graph, checking what the accessors rely on: every edge
+    joins two known nodes stored as (smaller id, larger id), appears once,
+    and lists its frames as strictly increasing integers."""
     try:
         band_names = tuple(payload["qdc_bands"])
         graph = QXG(payload["scene_id"], band_names)
@@ -351,19 +380,38 @@ def graph_from_dict(payload: dict) -> QXG:
             graph.node_classes[node["id"]] = node["class"]
         n_bands = len(band_names)
         for edge in payload["edges"]:
+            key = (edge["a"], edge["b"])
+            if not key[0] < key[1]:
+                problem = "is not stored as (smaller id, larger id)"
+            elif key[0] not in graph.node_classes or key[1] not in graph.node_classes:
+                problem = "joins an object that is not a node"
+            elif key in graph.edges:
+                problem = "appears twice"
+            else:
+                problem = None
+            if problem:
+                raise ValueError(f"not a serialized scene graph: edge {key} {problem}")
             history = EdgeHistory()
             for rel in edge["relations"]:
-                ax = ALLEN_BY_LABEL[rel["ra"][0]]
-                ay = ALLEN_BY_LABEL[rel["ra"][1]]
-                am = MOTION_BY_LABEL[rel["qtcb"][0]]
-                bm = MOTION_BY_LABEL[rel["qtcb"][1]]
-                band = band_index[rel["qdc"]]
-                sector = SECTOR_BY_LABEL[rel["star4"]]
-                history.frames.append(rel["frame"])
+                frame = rel["frame"]
+                if type(frame) is not int or (history.frames and frame <= history.frames[-1]):
+                    raise ValueError(
+                        f"not a serialized scene graph: edge {key} frames must be strictly "
+                        f"increasing integers, got {frame!r} after {history.frames[-1:]}"
+                    )
+                history.frames.append(frame)
                 history.codes.append(
-                    ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
+                    pack_code(
+                        ALLEN_BY_LABEL[rel["ra"][0]],
+                        ALLEN_BY_LABEL[rel["ra"][1]],
+                        MOTION_BY_LABEL[rel["qtcb"][0]],
+                        MOTION_BY_LABEL[rel["qtcb"][1]],
+                        band_index[rel["qdc"]],
+                        SECTOR_BY_LABEL[rel["star4"]],
+                        n_bands,
+                    )
                 )
-            graph.edges[(edge["a"], edge["b"])] = history
+            graph.edges[key] = history
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"not a serialized scene graph: {exc!r}") from None
     return graph

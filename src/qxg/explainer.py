@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .builder import QXG, build
+from .builder import QXG, build, pack_code, unpack_code
 from .calculi import DEFAULT_CONFIG, Allen, CalculiConfig, Motion, RelationTuple, Sector
 from .scene import ActionAnnotation, Scene
 
@@ -134,25 +134,43 @@ class EncodingSpec:
         vector.  Entries outside the window are ignored; empty slots get
         their missing flag."""
         n_bands = len(self.band_names)
-        vec = np.zeros(self.feature_len, dtype=np.float64)
+        codes = [
+            (frame, pack_code(rel.ra.x, rel.ra.y, rel.qtcb.a, rel.qtcb.b,
+                              rel.qdc.band_index, rel.star4, n_bands))
+            for frame, rel in chain
+        ]
+        return self.encode_codes([codes], at_frame)[0]
+
+    def encode_codes(
+        self, chains: Sequence[Sequence[tuple[int, int]]], at_frame: int
+    ) -> np.ndarray:
+        """One row per chain of ``(frame, code)`` pairs (as produced by
+        ``QXG.code_chain``), laid out as :meth:`encode` describes."""
         start = at_frame - self.t + 1
-        filled = [False] * self.t
-        for frame, rel in chain:
-            slot = frame - start
-            if not 0 <= slot < self.t:
-                continue
-            base = slot * self.slot_width
-            vec[base + rel.ra.x] = 1.0
-            vec[base + _N_ALLEN + rel.ra.y] = 1.0
-            vec[base + 2 * _N_ALLEN + rel.qtcb.a] = 1.0
-            vec[base + 2 * _N_ALLEN + _N_MOTION + rel.qtcb.b] = 1.0
-            vec[base + 2 * _N_ALLEN + 2 * _N_MOTION + rel.qdc.band_index] = 1.0
-            vec[base + 2 * _N_ALLEN + 2 * _N_MOTION + n_bands + rel.star4] = 1.0
-            filled[slot] = True
-        for slot, seen in enumerate(filled):
-            if not seen:
-                vec[(slot + 1) * self.slot_width - 1] = 1.0
-        return vec
+        hits = [
+            (row, frame - start, code)
+            for row, chain in enumerate(chains)
+            for frame, code in chain
+            if start <= frame <= at_frame
+        ]
+        X = np.zeros((len(chains), self.t, self.slot_width), dtype=np.float64)
+        X[:, :, -1] = 1.0
+        if hits:
+            rows, slots, codes = np.array(hits).T
+            ax, ay, am, bm, band, sector = unpack_code(codes, len(self.band_names))
+            motion = 2 * _N_ALLEN
+            band_base = motion + 2 * _N_MOTION
+            for column in (
+                ax,
+                _N_ALLEN + ay,
+                motion + am,
+                motion + _N_MOTION + bm,
+                band_base + band,
+                band_base + len(self.band_names) + sector,
+            ):
+                X[rows, slots, column] = 1.0
+            X[rows, slots, -1] = 0.0
+        return X.reshape(len(chains), self.feature_len)
 
     def describe_feature(self, index: int) -> str:
         """Human name of one feature, e.g. ``frame-2 x=Before`` (two frames
@@ -242,14 +260,15 @@ def extract_features(
         raise ValueError(
             f"graph bands {graph.band_names!r} do not match encoding bands {spec.band_names!r}"
         )
-    samples = []
     window_start = at_frame - spec.t + 1
+    others, chains = [], []
     for other in graph.partners(actor):
-        chain = graph.edge_chain(actor, other, at_frame, spec.t)
-        if not chain or chain[-1][0] < window_start:
-            continue
-        samples.append(PairSample(actor, other, at_frame, spec.encode(chain, at_frame)))
-    return samples
+        chain = graph.code_chain(actor, other, at_frame, spec.t)
+        if chain and chain[-1][0] >= window_start:
+            others.append(other)
+            chains.append(chain)
+    X = spec.encode_codes(chains, at_frame)
+    return [PairSample(actor, other, at_frame, row) for other, row in zip(others, X)]
 
 
 # -- datasets -----------------------------------------------------------------
@@ -417,42 +436,73 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
     )
 
 
-def _forest_scores(trees: list[Tree], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _PackedForest:
+    """One action's trees as a single node array.  ``children[2 * i]`` and
+    ``children[2 * i + 1]`` are node i's left and right child, offset by
+    their tree's root; leaves link to themselves, so a walk that reached a
+    leaf stays there while deeper walks go on."""
+
+    roots: np.ndarray
+    feature: np.ndarray
+    children: np.ndarray
+    fraction: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def pack(cls, trees: list[Tree]) -> "_PackedForest":
+        sizes = np.array([tree.feature.size for tree in trees])
+        roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(roots, sizes)
+        feature = np.concatenate([tree.feature for tree in trees])
+        own = np.arange(feature.size)
+        left = np.where(feature < 0, own, np.concatenate([tree.left for tree in trees]) + shift)
+        right = np.where(feature < 0, own, np.concatenate([tree.right for tree in trees]) + shift)
+        return cls(
+            roots,
+            feature,
+            np.stack([left, right], axis=1).ravel(),
+            np.concatenate([tree.fraction for tree in trees]),
+            np.concatenate([tree.count for tree in trees]),
+        )
+
+
+def _forest_scores(
+    forest: _PackedForest, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk every row of ``X`` down every tree at once, one level per step.
 
-    The trees are packed into one node array with root offsets, and leaves
-    link to themselves, so finished walks stay put while deeper ones go on.
-    Returns the forest score per row and the tree-local leaf id per row and
-    tree.  Leaf fractions are summed in tree order: a pairwise ``sum`` or
-    ``mean`` differs in the last bits and would change explanation JSON."""
-    sizes = np.array([tree.feature.size for tree in trees])
-    roots = np.cumsum(sizes) - sizes
-    shift = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    own = np.arange(feature.size)
-    left = np.where(feature < 0, own, np.concatenate([tree.left for tree in trees]) + shift)
-    right = np.where(feature < 0, own, np.concatenate([tree.right for tree in trees]) + shift)
-    rows = np.arange(X.shape[0])[:, None]
-    node = np.tile(roots, (X.shape[0], 1))
-    f = feature[node]
+    Returns the forest score per row, and per row and tree the packed id of
+    the leaf reached and that leaf's fraction.  The fractions are summed in
+    tree order (a running ``cumsum``): a pairwise ``sum`` or ``mean``
+    differs in the last bits and would change explanation JSON."""
+    hot = (X > 0.5).ravel()
+    row_start = np.arange(X.shape[0])[:, None] * X.shape[1]
+    node = np.tile(forest.roots, (X.shape[0], 1))
+    f = forest.feature[node]
     while (f >= 0).any():
-        # leaves (f == -1) test the last column, but both their links are themselves
-        node = np.where(X[rows, f] > 0.5, right[node], left[node])
-        f = feature[node]
-    leaves = node - roots
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for j, tree in enumerate(trees):
-        acc += tree.fraction[leaves[:, j]]
-    return acc / len(trees), leaves
+        # a leaf (f == -1) reads some other bit, but both its links are itself
+        node = forest.children[2 * node + hot[row_start + f]]
+        f = forest.feature[node]
+    fracs = forest.fraction[node]
+    scores = np.cumsum(fracs, axis=1)[:, -1] / forest.roots.size
+    return scores, node, fracs
 
 
 @dataclass
 class Model:
+    """Trained forests, one per action.  Each forest is packed for scoring
+    when the model is built, so the trees must not change afterwards."""
+
     seed: int
     spec: EncodingSpec
     cfg: CalculiConfig
     hyperparams: Hyperparams
     forests: dict[str, list[Tree]]
+    packed: dict[str, _PackedForest] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.packed = {action: _PackedForest.pack(trees) for action, trees in self.forests.items()}
 
     @property
     def actions(self) -> list[str]:
@@ -536,7 +586,7 @@ def score(model: Model, action: str, vector: np.ndarray) -> float:
     if action not in model.forests:
         raise UnknownAction(action)
     vector = _check_vector(model, vector)
-    return _forest_scores(model.forests[action], vector[None, :])[0][0]
+    return _forest_scores(model.packed[action], vector[None, :])[0][0]
 
 
 def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
@@ -546,7 +596,7 @@ def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
         raise LengthMismatch(
             f"model expects (n, {model.spec.feature_len}) matrices, got shape {X.shape}"
         )
-    return {action: _forest_scores(model.forests[action], X)[0] for action in model.actions}
+    return {action: _forest_scores(model.packed[action], X)[0] for action in model.actions}
 
 
 # -- explanations -------------------------------------------------------------
@@ -616,7 +666,8 @@ def explain(
     samples = extract_features(graph, actor, at_frame, model.spec)
     # the reshape keeps the width when no object shares the window
     X = np.array([s.vector for s in samples]).reshape(len(samples), model.spec.feature_len)
-    scores, leaves = _forest_scores(trees, X)
+    forest = model.packed[action]
+    scores, leaves, fracs = _forest_scores(forest, X)
     order = sorted(range(len(samples)), key=lambda i: (-scores[i], samples[i].other))
     if threshold is not None:
         order = [i for i in order if scores[i] >= threshold]
@@ -626,8 +677,7 @@ def explain(
     candidates = []
     for i in order:
         sample = samples[i]
-        best_tree = int(np.argmax([tree.fraction[leaf] for tree, leaf in zip(trees, leaves[i])]))
-        tree, leaf = trees[best_tree], leaves[i, best_tree]
+        best_tree = int(np.argmax(fracs[i]))  # the first tree on ties
         chain = tuple(
             (f, rel)
             for f, rel in graph.edge_chain(actor, sample.other, at_frame, model.spec.t)
@@ -639,9 +689,9 @@ def explain(
                 graph.node_classes.get(sample.other, "unknown"),
                 scores[i],
                 best_tree,
-                float(tree.fraction[leaf]),
-                int(tree.count[leaf]),
-                _decision_path(model, tree, sample.vector),
+                float(fracs[i, best_tree]),
+                int(forest.count[leaves[i, best_tree]]),
+                _decision_path(model, trees[best_tree], sample.vector),
                 chain,
             )
         )
@@ -746,9 +796,10 @@ def _tree_to_nodes(tree: Tree) -> list[dict]:
 
 
 def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
-    """Rebuild one tree, checking what scoring relies on: nodes in preorder
-    (children after their parent, so every walk ends), features inside the
-    encoding, and leaf fractions in [0, 1] with non-negative counts."""
+    """Rebuild one tree, checking what scoring relies on: integer links,
+    features and counts, and real fractions; nodes in preorder (children
+    after their parent, so every walk ends); features inside the encoding;
+    leaf fractions in [0, 1] with non-negative counts."""
     n = len(nodes)
     if n == 0:
         raise CorruptModel("a tree has no nodes")
@@ -758,7 +809,11 @@ def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
     fraction = np.zeros(n, dtype=np.float64)
     count = np.zeros(n, dtype=np.int32)
     for i, node in enumerate(nodes):
-        if "feature" in node:
+        split = "feature" in node
+        for key in ("feature", "left", "right") if split else ("count",):
+            if type(node[key]) is not int:  # bool and float are refused too
+                raise CorruptModel(f"node {i}: {key} {node[key]!r} is not an integer")
+        if split:
             if not (i < node["left"] < n and i < node["right"] < n):
                 raise CorruptModel(f"node {i} links outside nodes {i + 1}..{n - 1}")
             if not 0 <= node["feature"] < feature_len:
@@ -767,6 +822,8 @@ def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
             left[i] = node["left"]
             right[i] = node["right"]
         else:
+            if type(node["fraction"]) not in (int, float):
+                raise CorruptModel(f"leaf {i}: fraction {node['fraction']!r} is not a number")
             if not (0.0 <= node["fraction"] <= 1.0 and node["count"] >= 0):
                 raise CorruptModel(f"leaf {i}: fraction {node['fraction']}, count {node['count']}")
             fraction[i] = node["fraction"]
@@ -833,6 +890,8 @@ def model_from_json(data: bytes | str) -> Model:
             action: [_tree_from_nodes(t["nodes"], spec.feature_len) for t in forest["trees"]]
             for action, forest in payload["actions"].items()
         }
+        if not forests:
+            raise CorruptModel("the model has no actions")
         empty = sorted(action for action, trees in forests.items() if not trees)
         if empty:
             raise CorruptModel(f"no trees for {empty}")

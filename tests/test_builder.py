@@ -21,6 +21,7 @@ from qxg.builder import (
     OutOfOrderFrame,
     QXG,
     build,
+    converse_code,
     export_graph,
     import_graph,
 )
@@ -234,6 +235,12 @@ class TestPacking:
             )
             assert repacked == code
 
+    def test_code_converse_matches_the_oracle(self):
+        graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
+        n_bands = len(graph.band_names)
+        for code in range(13 * 13 * 4 * 4 * n_bands * 4):
+            assert graph.decode(converse_code(code, n_bands)) == converse_tuple(graph.decode(code))
+
     def test_decode_components(self):
         graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
         rel = graph.decode(0)
@@ -330,6 +337,44 @@ class TestSerialization:
     )
     def test_bad_imports_rejected(self, payload):
         with pytest.raises(ValueError, match="not a serialized scene graph"):
+            import_graph(payload)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            ("reversed", r"not stored as \(smaller id, larger id\)"),
+            ("self-edge", r"not stored as \(smaller id, larger id\)"),
+            ("unknown-end", "not a node"),
+            ("repeated-edge", "appears twice"),
+            ("unsorted-frames", "strictly increasing"),
+            ("repeated-frame", "strictly increasing"),
+            ("float-frame", "strictly increasing"),
+        ],
+        ids=[
+            "reversed", "self-edge", "unknown-end", "repeated-edge",
+            "unsorted-frames", "repeated-frame", "float-frame",
+        ],
+    )
+    def test_graph_invariants_checked(self, damage, match):
+        graph = build(Scene("s", tuple(_frame(f, _state("a", 0, 0), _state("b", 3, f)) for f in range(3))))
+        payload = json.loads(export_graph(graph))
+        edge = payload["edges"][0]
+        relations = edge["relations"]
+        if damage == "reversed":
+            edge["a"], edge["b"] = edge["b"], edge["a"]
+        elif damage == "self-edge":
+            edge["b"] = edge["a"]
+        elif damage == "unknown-end":
+            payload["nodes"].pop()
+        elif damage == "repeated-edge":
+            payload["edges"].append(edge)
+        elif damage == "unsorted-frames":
+            relations[0], relations[1] = relations[1], relations[0]
+        elif damage == "repeated-frame":
+            relations[1]["frame"] = relations[0]["frame"]
+        else:
+            relations[2]["frame"] = 2.0
+        with pytest.raises(ValueError, match=match):
             import_graph(payload)
 
 

@@ -287,6 +287,15 @@ class TestEval:
         )
         assert result.returncode == 1
 
+    def test_model_without_actions_is_runtime_error(self, corpus, model_file, tmp_path):
+        payload = json.loads(model_file.read_bytes())
+        payload["actions"] = {}
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(payload))
+        result = run_cli("eval", "--traces", str(corpus), "--model", str(empty), timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: eval:") and "Traceback" not in result.stderr
+
 
 class TestBench:
     def test_json_fields(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qxg.builder import build
+from qxg.builder import QXG, build
 from qxg.calculi import (
     Allen,
     BBox2D,
@@ -202,6 +202,61 @@ class TestExtraction:
         assert extract_features(graph, "solo", 0, SPEC) == []
 
 
+def _gappy_graph(seed, n_frames=12):
+    """Five objects on random walks, each seen in about 60% of the frames,
+    so chains have gaps and both orientations of a pair get queried."""
+    rng = random.Random(seed)
+    ids = [f"o{i}" for i in rng.sample(range(10), 5)]
+    pos = {oid: [rng.uniform(-20, 20), rng.uniform(-20, 20)] for oid in ids}
+    frames = []
+    for f in range(n_frames):
+        states = []
+        for oid in ids:
+            pos[oid][0] += rng.uniform(-2, 2)
+            pos[oid][1] += rng.uniform(-2, 2)
+            if rng.random() < 0.6:
+                states.append(_state(oid, *pos[oid], w=rng.uniform(0.5, 4), h=rng.uniform(0.5, 4)))
+        frames.append(Frame(f, f * 0.5, tuple(states)))
+    return build(Scene(f"gappy{seed}", tuple(frames)))
+
+
+class TestCodeReadPath:
+    """``extract_features`` one-hots stored codes; ``spec.encode`` over the
+    decoded ``edge_chain`` is the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extract_equals_encode_of_edge_chains(self, seed):
+        graph = _gappy_graph(seed)
+        spec = EncodingSpec(t=4)
+        orientations = set()
+        for actor in sorted(graph.node_classes):
+            for frame in range(12):
+                samples = extract_features(graph, actor, frame, spec)
+                expected = [
+                    other
+                    for other in graph.partners(actor)
+                    if any(f > frame - spec.t for f, _ in graph.edge_chain(actor, other, frame, spec.t))
+                ]
+                assert [s.other for s in samples] == expected
+                for sample in samples:
+                    chain = graph.edge_chain(actor, sample.other, frame, spec.t)
+                    assert np.array_equal(sample.vector, spec.encode(chain, frame))
+                    orientations.add(actor < sample.other)
+        assert orientations == {True, False}
+
+    def test_extract_never_decodes(self, monkeypatch):
+        graph = _gappy_graph(0)
+        queries = [(actor, frame) for actor in sorted(graph.node_classes) for frame in range(12)]
+        want = [extract_features(graph, actor, frame, SPEC) for actor, frame in queries]
+
+        def refuse(self, code):
+            raise AssertionError("extract_features decoded a relation code")
+
+        monkeypatch.setattr(QXG, "decode", refuse)
+        assert [extract_features(graph, actor, frame, SPEC) for actor, frame in queries] == want
+        assert any(want)
+
+
 # -- a tiny hand-rolled corpus: "Chase" scenes end with one object bearing
 #    down on the actor, "Idle" scenes are frozen tableaux ---------------------
 
@@ -293,6 +348,28 @@ class TestTraining:
         for action in model.actions:
             for i, row in enumerate(dataset.X):
                 assert score(model, action, row) == batch[action][i]
+
+    def test_scores_sum_leaf_fractions_in_tree_order(self, mini_model):
+        model, _ = mini_model
+        rng = np.random.default_rng(7)
+        X = (rng.random((2000, model.spec.feature_len)) < 0.15).astype(np.float64)
+        got = predict_scores(model, X)
+        pairwise_differs = 0
+        for action in model.actions:
+            trees = model.forests[action]
+            fractions = np.empty((len(X), len(trees)))
+            for i, row in enumerate(X):
+                total = 0.0
+                for j, tree in enumerate(trees):
+                    node = 0
+                    while tree.feature[node] >= 0:
+                        hit = row[tree.feature[node]] > 0.5
+                        node = tree.right[node] if hit else tree.left[node]
+                    fractions[i, j] = tree.fraction[node]
+                    total += tree.fraction[node]
+                assert got[action][i] == total / len(trees)
+            pairwise_differs += int(np.sum(fractions.mean(axis=1) != got[action]))
+        assert pairwise_differs, "a pairwise mean never differs here, so the test cannot tell"
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InsufficientData):
@@ -543,8 +620,19 @@ class TestPersistence:
             ({"fraction": float("nan"), "count": 3}, "fraction nan"),
             ("no nodes", "no nodes"),
             ("no trees", "no trees"),
+            ({"feature": 160.7, "left": 1, "right": 2}, "feature 160.7 is not an integer"),
+            ({"feature": True, "left": 1, "right": 2}, "feature True is not an integer"),
+            ({"feature": 0, "left": 1.0, "right": 2}, "left 1.0 is not an integer"),
+            ({"feature": 0, "left": 1, "right": "2"}, "right '2' is not an integer"),
+            ({"fraction": 0.5, "count": 2.5}, "count 2.5 is not an integer"),
+            ({"fraction": "0.5", "count": 3}, "fraction '0.5' is not a number"),
+            ({"fraction": False, "count": 3}, "fraction False is not a number"),
         ],
-        ids=["dangling", "cycle", "feature", "nan-fraction", "no-nodes", "no-trees"],
+        ids=[
+            "dangling", "cycle", "feature", "nan-fraction", "no-nodes", "no-trees",
+            "float-feature", "bool-feature", "float-left", "str-right", "float-count",
+            "str-fraction", "bool-fraction",
+        ],
     )
     def test_corrupt_tree_links(self, mini_model, root, match):
         model, _ = mini_model
@@ -558,6 +646,13 @@ class TestPersistence:
         else:
             trees[0]["nodes"][0] = root
         with pytest.raises(CorruptModel, match=match):
+            model_from_json(json.dumps(payload))
+
+    def test_model_without_actions_rejected(self, mini_model):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        payload["actions"] = {}
+        with pytest.raises(CorruptModel, match="no actions"):
             model_from_json(json.dumps(payload))
 
     def test_feature_len_consistency_checked(self, mini_model):
