@@ -9,31 +9,41 @@ fabricates labeled scenarios to exercise all of it, and :mod:`qxg.bench`
 times the hot path.
 """
 
-from .builder import Builder, build, export_graph, import_graph
-from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .explainer import build_dataset, evaluate, explain, load_model, save_model, train
-from .scene import load_trace, serialize_scene
-from .synthgen import generate_corpus, generate_dataset, generate_scene
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Builder",
-    "CalculiConfig",
-    "DEFAULT_CONFIG",
-    "build",
-    "build_dataset",
-    "evaluate",
-    "explain",
-    "export_graph",
-    "generate_corpus",
-    "generate_dataset",
-    "generate_scene",
-    "import_graph",
-    "load_model",
-    "load_trace",
-    "save_model",
-    "serialize_scene",
-    "train",
-    "__version__",
-]
+# Each re-exported name loads its submodule on first use (PEP 562), so
+# ``import qxg`` costs no numpy until a numpy-backed name is asked for.
+_HOMES = {
+    "Builder": "builder",
+    "build": "builder",
+    "export_graph": "builder",
+    "import_graph": "builder",
+    "CalculiConfig": "calculi",
+    "DEFAULT_CONFIG": "calculi",
+    "build_dataset": "explainer",
+    "evaluate": "explainer",
+    "explain": "explainer",
+    "load_model": "explainer",
+    "save_model": "explainer",
+    "train": "explainer",
+    "load_trace": "scene",
+    "serialize_scene": "scene",
+    "generate_corpus": "synthgen",
+    "generate_dataset": "synthgen",
+    "generate_scene": "synthgen",
+}
+
+__all__ = sorted(_HOMES) + ["__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -142,3 +142,22 @@ def run_scaling(
     log_ms = np.log([r.median_ms for r in results])
     exponent = float(np.polyfit(log_k, log_ms, 1)[0])
     return ScalingReport(results, exponent)
+
+
+def run_repeats(n_objects: int, n_frames: int = 30, seed: int = 0, repeats: int = 1) -> dict:
+    """:func:`run_bench` on seeds ``seed``, ``seed + 1``, ... ``repeats``
+    times; reports the medians over runs of each run's median and p95."""
+    runs = [run_bench(n_objects, n_frames, seed + i) for i in range(repeats)]
+    median_ms = float(np.median([r.median_ms for r in runs]))
+    p95_ms = float(np.median([r.p95_ms for r in runs]))
+    return {
+        "n_objects": n_objects,
+        "n_frames": n_frames,
+        "repeats": repeats,
+        "median_ms": median_ms,
+        "p95_ms": p95_ms,
+        "median_ns": median_ms * 1e6,
+        "p95_ns": p95_ms * 1e6,
+        "mean_pairs": runs[0].mean_pairs,
+        "runs": [r.as_dict() for r in runs],
+    }

@@ -25,25 +25,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .bench import run_bench, run_scaling
-from .builder import Builder, build, export_graph
+from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .explainer import (
-    Hyperparams,
-    UnknownAction,
-    build_dataset,
-    evaluate,
-    explain,
-    explanation_to_dict,
-    load_model,
-    model_to_json,
-    train,
-)
+from .defs import KINDS, Hyperparams, UnknownAction
 from .scene import CauseRecord, TraceError, load_trace, serialize_scene
-from .synthgen import CLEAR_CRUISE, KINDS, ScenarioSpec, generate_scene
-from .synthgen import split_scenes
+
+# The numpy modules (explainer, synthgen, bench) load inside the handlers
+# that call them, so ``qxg build`` starts without numpy.
 
 
 # -- config file --------------------------------------------------------------
@@ -60,53 +48,73 @@ class AppConfig:
     out: str | None = None
 
 
-def _replace_from(base, payload: dict, allowed: dict):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # finite and within float range, so float() never overflows
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# config key -> (what it must be, check, conversion)
+_CALCULI_KEYS = {
+    "qdc_band_edges": ("a list of finite numbers", _is_list_of(_is_real), tuple),
+    "qdc_band_names": ("a list of strings", _is_list_of(lambda v: isinstance(v, str)), tuple),
+    "qtc_epsilon": ("a finite number", _is_real, float),
+}
+_HYPERPARAM_KEYS = {
+    "n_trees": ("an integer", _is_int, int),
+    "max_depth": ("an integer", _is_int, int),
+    "min_samples_leaf": ("an integer", _is_int, int),
+    "balance": ("true or false", lambda v: isinstance(v, bool), bool),
+}
+_TOP_KEYS = {
+    "t": ("an integer", _is_int, int),
+    "seed": ("an integer", _is_int, int),
+    "out": ("a string", lambda v: isinstance(v, str), str),
+}
+
+
+def _replace_from(base, payload, allowed: dict, where: str):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(payload) - set(allowed)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    coerced = {key: allowed[key](value) for key, value in payload.items()}
-    return replace(base, **coerced)
+    values = {}
+    for key, value in payload.items():
+        what, check, convert = allowed[key]
+        if not check(value):
+            raise ValueError(f"{where}: {key!r} must be {what}, got {json.dumps(value)}")
+        values[key] = convert(value)
+    return replace(base, **values)
 
 
 def load_app_config(path: str | Path) -> AppConfig:
-    """Read an :class:`AppConfig` from JSON; omitted keys keep defaults."""
+    """Read an :class:`AppConfig` from JSON; omitted keys keep defaults.
+    Values must already have their key's type: nothing is cast."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path}: not valid JSON ({exc})") from exc
+    where = f"config {path}"
     if not isinstance(payload, dict):
-        raise ValueError(f"config {path}: expected a JSON object")
+        raise ValueError(f"{where}: expected a JSON object")
 
     cfg = AppConfig()
     top = dict(payload)
     if "calculi" in top:
-        cfg = replace(
-            cfg,
-            calculi=_replace_from(
-                DEFAULT_CONFIG,
-                top.pop("calculi"),
-                {
-                    "qdc_band_edges": tuple,
-                    "qdc_band_names": tuple,
-                    "qtc_epsilon": float,
-                },
-            ),
-        )
+        calculi = _replace_from(DEFAULT_CONFIG, top.pop("calculi"), _CALCULI_KEYS, f"{where}: calculi")
+        cfg = replace(cfg, calculi=calculi)
     if "hyperparams" in top:
-        cfg = replace(
-            cfg,
-            hyperparams=_replace_from(
-                Hyperparams(),
-                top.pop("hyperparams"),
-                {
-                    "n_trees": int,
-                    "max_depth": int,
-                    "min_samples_leaf": int,
-                    "balance": bool,
-                },
-            ),
-        )
-    return _replace_from(cfg, top, {"t": int, "seed": int, "out": str})
+        hp = _replace_from(Hyperparams(), top.pop("hyperparams"), _HYPERPARAM_KEYS, f"{where}: hyperparams")
+        cfg = replace(cfg, hyperparams=hp)
+    return _replace_from(cfg, top, _TOP_KEYS, where)
 
 
 def _config_from(args) -> AppConfig:
@@ -175,23 +183,17 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .synthgen import CLEAR_CRUISE, ScenarioSpec, generate_scenes
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(args.seed).generate_state(args.scenes, dtype=np.uint64)
+    base = ScenarioSpec(
+        args.kind or CLEAR_CRUISE, n_distractors=args.distractors, jitter_sigma=args.jitter
+    )
     entries = []
-    for i in range(args.scenes):
-        kind = args.kind or KINDS[i % len(KINDS)]
-        twin = None
-        if args.kind is None and kind == CLEAR_CRUISE:
-            twin = {0: "l12", 1: "l45"}.get((i // len(KINDS)) % 5)
-        spec = ScenarioSpec(
-            kind,
-            n_distractors=args.distractors,
-            jitter_sigma=args.jitter,
-            seed=int(seeds[i]),
-            cruise_twin=twin,
-        )
-        scene, annotation, truth = generate_scene(spec)
+    for i, (scene, annotation, truth) in enumerate(
+        generate_scenes(args.scenes, base, args.seed, args.kind)
+    ):
         cause = CauseRecord(
             scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id
         )
@@ -201,7 +203,7 @@ def cmd_gen(args) -> int:
             {
                 "file": name,
                 "scene_id": scene.scene_id,
-                "kind": kind,
+                "kind": truth.kind,
                 "action": annotation.action,
                 "frame": annotation.frame_index,
                 "actor": annotation.actor_id,
@@ -240,6 +242,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .explainer import build_dataset, model_to_json, train
+
     cfg = _config_from(args)
     items = _annotated_items(args.traces)
     dataset = build_dataset(items, t=cfg.t, cfg=cfg.calculi)
@@ -256,6 +260,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .explainer import explain, explanation_to_dict, load_model
+
     model = load_model(args.model)
     scene, _, _ = _read_trace(args.trace)
     if not any(frame.get(args.actor) for frame in scene.frames):
@@ -281,9 +287,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .explainer import build_dataset, evaluate, load_model
+
     model = load_model(args.model)
     items = _annotated_items(args.traces)
     if args.split != "all":
+        from .synthgen import split_scenes
+
         train_items, test_items = split_scenes(items, args.train_fraction)
         items = train_items if args.split == "train" else test_items
     dataset = build_dataset(items, t=model.spec.t, cfg=model.cfg)
@@ -319,27 +329,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_repeats, run_scaling
+
     if args.scaling:
-        report = run_scaling(tuple(args.scaling), n_frames=args.frames, seed=args.seed)
-        payload = report.as_dict()
+        payload = run_scaling(tuple(args.scaling), n_frames=args.frames, seed=args.seed).as_dict()
     else:
-        runs = [
-            run_bench(args.objects, n_frames=args.frames, seed=args.seed + i)
-            for i in range(args.repeats)
-        ]
-        median_ms = float(np.median([r.median_ms for r in runs]))
-        p95_ms = float(np.median([r.p95_ms for r in runs]))
-        payload = {
-            "n_objects": args.objects,
-            "n_frames": args.frames,
-            "repeats": args.repeats,
-            "median_ms": median_ms,
-            "p95_ms": p95_ms,
-            "median_ns": median_ms * 1e6,
-            "p95_ns": p95_ms * 1e6,
-            "mean_pairs": runs[0].mean_pairs,
-            "runs": [r.as_dict() for r in runs],
-        }
+        payload = run_repeats(args.objects, args.frames, args.seed, args.repeats)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

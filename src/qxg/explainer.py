@@ -29,6 +29,7 @@ import numpy as np
 
 from .builder import QXG, build, pack_code, unpack_code
 from .calculi import DEFAULT_CONFIG, Allen, CalculiConfig, Motion, RelationTuple, Sector
+from .defs import Hyperparams, UnknownAction
 from .scene import ActionAnnotation, Scene
 
 __all__ = [
@@ -72,10 +73,6 @@ class EmptyAction(ValueError):
 
 class InsufficientData(ValueError):
     """Not enough rows (or no negatives) to train a one-vs-all forest."""
-
-
-class UnknownAction(KeyError):
-    """The model was never trained on this action label."""
 
 
 class LengthMismatch(ValueError):
@@ -332,18 +329,6 @@ def build_dataset(
 
 
 # -- forests ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    n_trees: int = 100
-    max_depth: int = 10
-    min_samples_leaf: int = 5
-    balance: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise ValueError(f"hyperparameters must be positive: {self}")
 
 
 @dataclass
@@ -864,6 +849,8 @@ def model_from_json(data: bytes | str) -> Model:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"model file is not JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"model file is not UTF-8: {exc.reason}") from None
     if not isinstance(payload, dict):
         raise CorruptModel("model file must hold a JSON object")
     version = payload.get("version")
@@ -886,6 +873,8 @@ def model_from_json(data: bytes | str) -> Model:
                 f"stored feature_len {payload['encoding']['feature_len']} does not match "
                 f"the stored encoding parameters ({spec.feature_len})"
             )
+        if not isinstance(payload["actions"], dict):
+            raise CorruptModel("\"actions\" must be a JSON object")
         forests = {
             action: [_tree_from_nodes(t["nodes"], spec.feature_len) for t in forest["trees"]]
             for action, forest in payload["actions"].items()

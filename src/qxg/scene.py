@@ -184,7 +184,11 @@ TraceInput = Union[str, bytes, IO]
 
 def _iter_lines(data: TraceInput) -> Iterable[str]:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
     if isinstance(data, str):
         return data.splitlines()
     return (line.rstrip("\n") for line in data)

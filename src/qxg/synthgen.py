@@ -42,6 +42,7 @@ import numpy as np
 
 from .builder import build
 from .calculi import BBox2D, DEFAULT_CONFIG
+from .defs import CLEAR_CRUISE, GAP_ACCELERATE, KINDS, LEAD_VEHICLE_BRAKING, STOPPING_FOR_CROSSER
 from .scene import ActionAnnotation, Frame, NO_CAUSE, ObjectState, Scene
 
 __all__ = [
@@ -55,17 +56,11 @@ __all__ = [
     "ScenarioSpec",
     "GroundTruth",
     "generate_scene",
+    "generate_scenes",
     "generate_dataset",
     "generate_corpus",
     "split_scenes",
 ]
-
-STOPPING_FOR_CROSSER = "StoppingForCrosser"
-LEAD_VEHICLE_BRAKING = "LeadVehicleBraking"
-CLEAR_CRUISE = "ClearCruise"
-GAP_ACCELERATE = "GapAccelerate"
-
-KINDS = (STOPPING_FOR_CROSSER, LEAD_VEHICLE_BRAKING, CLEAR_CRUISE, GAP_ACCELERATE)
 
 ACTION_FOR_KIND = {
     STOPPING_FOR_CROSSER: "Stopping",
@@ -130,13 +125,15 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class GroundTruth:
     """What the generator knows about a scene: the annotation it planted,
-    the object that caused it (``NO_CAUSE`` if none), and the object nearest
-    the actor at the annotation frame as a baseline answer."""
+    the object that caused it (``NO_CAUSE`` if none), the object nearest
+    the actor at the annotation frame as a baseline answer, and the
+    scenario kind."""
 
     scene_id: str
     annotation: ActionAnnotation
     cause_id: str
     nearest_id: str | None
+    kind: str
 
 
 @dataclass
@@ -407,22 +404,24 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
         if best is None or (d, state.object_id) < best:
             best = (d, state.object_id)
             nearest = state.object_id
-    truth = GroundTruth(scene_id, annotation, cause, nearest)
+    truth = GroundTruth(scene_id, annotation, cause, nearest, spec.kind)
     return scene, annotation, truth
 
 
 def _round_robin(
-    n_per_kind: int, base: ScenarioSpec, seeds: np.ndarray
+    n_scenes: int, base: ScenarioSpec, seeds: np.ndarray, kind: str | None = None
 ) -> list[tuple[Scene, ActionAnnotation, GroundTruth]]:
+    """``n_scenes`` scenes, the i-th seeded with ``seeds[i]``: all of
+    ``kind`` when given, else the kinds in turn."""
     items = []
-    for i in range(4 * n_per_kind):
-        kind = KINDS[i % 4]
+    for i in range(n_scenes):
+        this = kind or KINDS[i % 4]
         twin = None
-        if kind == CLEAR_CRUISE:
+        if kind is None and this == CLEAR_CRUISE:
             # every fifth cruise scene hosts the stopping lingerer's chain,
             # the next one the accelerating lingerer's
             twin = {0: "l12", 1: "l45"}.get((i // 4) % 5)
-        spec = replace(base, kind=kind, seed=int(seeds[i]), cruise_twin=twin)
+        spec = replace(base, kind=this, seed=int(seeds[i]), cruise_twin=twin)
         items.append(generate_scene(spec))
     return items
 
@@ -431,13 +430,25 @@ def _base_spec(base: ScenarioSpec | None) -> ScenarioSpec:
     return base if base is not None else ScenarioSpec(CLEAR_CRUISE)
 
 
+def generate_scenes(
+    n_scenes: int,
+    base_spec: ScenarioSpec | None = None,
+    master_seed: int = 42,
+    kind: str | None = None,
+) -> list[tuple[Scene, ActionAnnotation, GroundTruth]]:
+    """``n_scenes`` scenes with seeds derived from one master seed: all of
+    ``kind`` when given, else the kinds interleaved round-robin.  The
+    mixed list is a prefix of :func:`generate_dataset`'s for that seed."""
+    seeds = np.random.SeedSequence(master_seed).generate_state(n_scenes, dtype=np.uint64)
+    return _round_robin(n_scenes, _base_spec(base_spec), seeds, kind)
+
+
 def generate_dataset(
     n_per_kind: int, base_spec: ScenarioSpec | None = None, master_seed: int = 42
 ) -> list[tuple[Scene, ActionAnnotation, GroundTruth]]:
     """A mixed list of scenes, kinds interleaved round-robin, with all scene
     seeds derived from one master seed."""
-    seeds = np.random.SeedSequence(master_seed).generate_state(4 * n_per_kind, dtype=np.uint64)
-    return _round_robin(n_per_kind, _base_spec(base_spec), seeds)
+    return generate_scenes(4 * n_per_kind, base_spec, master_seed)
 
 
 def generate_corpus(
@@ -451,8 +462,9 @@ def generate_corpus(
     seed, so they never share a scene."""
     train_ss, test_ss = np.random.SeedSequence(master_seed).spawn(2)
     base = _base_spec(base_spec)
-    train = _round_robin(n_train_per_kind, base, train_ss.generate_state(4 * n_train_per_kind, dtype=np.uint64))
-    test = _round_robin(n_test_per_kind, base, test_ss.generate_state(4 * n_test_per_kind, dtype=np.uint64))
+    n_train, n_test = 4 * n_train_per_kind, 4 * n_test_per_kind
+    train = _round_robin(n_train, base, train_ss.generate_state(n_train, dtype=np.uint64))
+    test = _round_robin(n_test, base, test_ss.generate_state(n_test, dtype=np.uint64))
     return train, test
 
 

@@ -9,7 +9,11 @@ import sys
 import pytest
 
 from qxg.builder import build, import_graph
-from qxg.scene import load_trace
+from qxg.calculi import CalculiConfig
+from qxg.cli import AppConfig, load_app_config
+from qxg.defs import Hyperparams
+from qxg.scene import CauseRecord, load_trace, serialize_scene
+from qxg.synthgen import generate_dataset, generate_scenes
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -87,6 +91,29 @@ class TestGen:
         names = [p.name for p in sorted((tmp_path / "g").glob("*.jsonl"))]
         assert len(names) == 3 and all("GapAccelerate" in n for n in names)
 
+    @pytest.mark.parametrize(
+        "n_scenes, kind", [(7, None), (8, None), (3, "GapAccelerate")], ids=["mixed-7", "mixed-8", "kind"]
+    )
+    def test_files_are_synthgen_scenes(self, tmp_path, n_scenes, kind):
+        out = tmp_path / "g"
+        result = run_cli(
+            "gen", "--scenes", str(n_scenes), "--seed", "7", "--out", str(out),
+            *(["--kind", kind] if kind else []),
+        )
+        assert result.returncode == 0, result.stderr
+        if kind is None:
+            # the mixed rotation is generate_dataset's, cut to the count
+            expected = generate_dataset(2, master_seed=7)[:n_scenes]
+        else:
+            expected = generate_scenes(n_scenes, master_seed=7, kind=kind)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["scenes"]) == n_scenes == len(list(out.glob("*.jsonl")))
+        for i, ((scene, annotation, truth), entry) in enumerate(zip(expected, manifest["scenes"])):
+            cause = CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)
+            assert entry["file"] == f"{i:03d}_{scene.scene_id}.jsonl"
+            assert entry["kind"] == truth.kind == (kind or entry["kind"])
+            assert (out / entry["file"]).read_bytes() == serialize_scene(scene, [annotation], [cause])
+
     def test_zero_scenes_is_usage_error(self, tmp_path):
         result = run_cli("gen", "--scenes", "0", "--out", str(tmp_path / "z"))
         assert result.returncode == 2
@@ -141,6 +168,54 @@ class TestBuild:
         result = run_cli("build", "--trace", str(bad))
         assert result.returncode == 1
         assert "line 1" in result.stderr
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"seed": null}',
+            '{"seed": 1.0}',
+            '{"t": 2.7}',
+            '{"t": true}',
+            '{"out": 5}',
+            '{"calculi": null}',
+            '{"calculi": [1, 5, 15, 50]}',
+            '{"calculi": {"qdc_band_edges": [1, "a", 3, 4]}}',
+            '{"calculi": {"qdc_band_edges": "1,5,15,50"}}',
+            '{"calculi": {"qdc_band_edges": [1, 5, 15, NaN]}}',
+            '{"calculi": {"qdc_band_names": [1, 2, 3, 4, 5]}}',
+            '{"calculi": {"qtc_epsilon": "0.05"}}',
+            '{"calculi": {"qtc_epsilon": true}}',
+            '{"calculi": {"qtc_epsilon": 1e999}}',
+            '{"hyperparams": null}',
+            '{"hyperparams": {"balance": "false"}}',
+            '{"hyperparams": {"balance": 0}}',
+            '{"hyperparams": {"n_trees": "7"}}',
+            '{"hyperparams": {"max_depth": 7.0}}',
+            '{"hyperparams": {"min_samples_leaf": false}}',
+        ],
+    )
+    def test_mistyped_value_is_runtime_error(self, corpus, manifest, tmp_path, config):
+        path = tmp_path / "c.json"
+        path.write_text(config)
+        trace = corpus / manifest["scenes"][0]["file"]
+        result = run_cli("build", "--trace", str(trace), "--config", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: build: config ") and "Traceback" not in result.stderr
+
+    def test_typed_values_load_as_given(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "calculi": {"qdc_band_edges": [2, 6.5], "qdc_band_names": ["a", "b", "c"], "qtc_epsilon": 1},
+            "hyperparams": {"n_trees": 7, "balance": False},
+            "t": 3,
+            "seed": 0,
+            "out": "m.json",
+        }))
+        assert load_app_config(path) == AppConfig(
+            CalculiConfig((2, 6.5), ("a", "b", "c"), 1.0), 3, Hyperparams(n_trees=7, balance=False), 0, "m.json"
+        )
 
 
 class TestTrain:

@@ -1,0 +1,176 @@
+"""Mutation fuzzing of every loader: each mutated input either loads or
+raises the loader's own typed error, and does so quickly.
+
+Each example starts from a valid input and applies one to three edits:
+drop a key or list element, swap a value for one of another type,
+truncate the bytes, or flip one bit.  Structural edits apply to the parsed
+JSON (for traces, to one parsed line), byte edits to the serialized form.
+"""
+
+import json
+import math
+from datetime import timedelta
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qxg.builder import build, export_graph, import_graph
+from qxg.cli import load_app_config
+from qxg.defs import STOPPING_FOR_CROSSER, Hyperparams
+from qxg.explainer import CorruptModel, VersionMismatch, build_dataset, model_from_json
+from qxg.explainer import model_to_json, train
+from qxg.scene import CauseRecord, TraceError, load_trace, serialize_scene
+from qxg.synthgen import ScenarioSpec, generate_dataset, generate_scene
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=timedelta(seconds=1),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# a value of every JSON type, and the awkward numbers
+SWAPS = [None, True, False, 0, -1, 7, 2.5, 1e308, 10**30, math.nan, math.inf, "", "x", [], [1], {}, {"a": 1}]
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, path + (i,))
+
+
+def _edit(doc, data):
+    """Drop or swap the value at one path of a parsed JSON document."""
+    paths = list(_paths(doc))
+    path = data.draw(st.sampled_from(paths))
+    if not path:
+        return data.draw(st.sampled_from(SWAPS))
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(SWAPS))
+    return doc
+
+
+def _mutate(blob: bytes, data, lines: bool = False) -> bytes:
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["structure", "truncate", "flip"]))
+        if op == "truncate":
+            blob = blob[: data.draw(st.integers(0, max(0, len(blob) - 1)))]
+        elif op == "flip" and blob:
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob = blob[:i] + bytes([blob[i] ^ (1 << data.draw(st.integers(0, 7)))]) + blob[i + 1 :]
+        elif op == "structure":
+            parts = blob.split(b"\n") if lines else [blob]
+            k = data.draw(st.integers(0, len(parts) - 1))
+            try:
+                doc = json.loads(parts[k])
+            except ValueError:
+                continue
+            parts[k] = json.dumps(_edit(doc, data)).encode("utf-8")
+            blob = b"\n".join(parts)
+    return blob
+
+
+@pytest.fixture(scope="module")
+def trace_blob():
+    scene, annotation, truth = generate_scene(ScenarioSpec(STOPPING_FOR_CROSSER, seed=3, n_distractors=2))
+    cause = CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)
+    return serialize_scene(scene, [annotation], [cause])
+
+
+@pytest.fixture(scope="module")
+def graph_blob(trace_blob):
+    scene, _, _ = load_trace(trace_blob)
+    return export_graph(build(scene))
+
+
+@pytest.fixture(scope="module")
+def model_blob():
+    items = generate_dataset(2, master_seed=5)
+    dataset = build_dataset([(scene, annotation) for scene, annotation, _ in items])
+    return model_to_json(train(dataset, seed=1, hyperparams=Hyperparams(n_trees=2, max_depth=3)))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+CONFIG = {
+    "calculi": {"qdc_band_edges": [1, 5, 15, 50], "qdc_band_names": ["a", "b", "c", "d", "e"], "qtc_epsilon": 0.05},
+    "t": 5,
+    "hyperparams": {"n_trees": 100, "max_depth": 10, "min_samples_leaf": 5, "balance": True},
+    "seed": 42,
+    "out": "model.json",
+}
+
+
+def test_seeds_are_valid(trace_blob, graph_blob, model_blob, config_path):
+    load_trace(trace_blob)
+    import_graph(graph_blob)
+    model_from_json(model_blob)
+    config_path.write_text(json.dumps(CONFIG))
+    load_app_config(config_path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_trace_loader(trace_blob, data):
+    blob = _mutate(trace_blob, data, lines=True)
+    try:
+        load_trace(blob)
+    except TraceError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_graph_loader(graph_blob, data):
+    blob = _mutate(graph_blob, data)
+    try:
+        import_graph(blob)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_loader(model_blob, data):
+    blob = _mutate(model_blob, data)
+    try:
+        model_from_json(blob)
+    except (CorruptModel, VersionMismatch):
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_loader(config_path, data):
+    config_path.write_bytes(_mutate(json.dumps(CONFIG).encode("utf-8"), data))
+    try:
+        load_app_config(config_path)
+    except ValueError:
+        pass
+
+
+def test_invalid_utf8_trace_is_malformed_line(trace_blob):
+    second = trace_blob.index(b"\n") + 1
+    with pytest.raises(TraceError, match="line 2: not valid UTF-8"):
+        load_trace(trace_blob[:second] + b"\xfb" + trace_blob[second:])
+
+
+def test_model_faults_found_by_fuzzing(model_blob):
+    with pytest.raises(CorruptModel, match="not UTF-8"):
+        model_from_json(b"\xfb" + model_blob)
+    payload = json.loads(model_blob)
+    payload["actions"] = None
+    with pytest.raises(CorruptModel, match='"actions" must be a JSON object'):
+        model_from_json(json.dumps(payload))
