@@ -51,6 +51,8 @@ __all__ = [
     "pack_code",
     "unpack_code",
     "converse_code",
+    "relation_to_dict",
+    "relation_code",
     "export_graph",
     "import_graph",
 ]
@@ -163,6 +165,21 @@ class QXG:
             n_bands = len(self.band_names)
             codes = [converse_code(code, n_bands) for code in codes]
         return list(zip(history.frames[start:end], codes))
+
+    def window_chains(
+        self, actor: str, at_frame: int, t: int
+    ) -> list[tuple[str, list[tuple[int, int]]]]:
+        """Every partner with at least one relation in the ``t`` frames
+        ending at ``at_frame``, sorted by id, each with those relations as
+        ``(frame, code)`` pairs oriented as actor-against-partner."""
+        start = at_frame - t + 1
+        found = []
+        for other in self.partners(actor):
+            chain = self.code_chain(actor, other, at_frame, t)
+            chain = [(f, code) for f, code in chain if f >= start]
+            if chain:
+                found.append((other, chain))
+        return found
 
     def edge_chain(
         self, a: str, b: str, at_frame: int, t: int
@@ -341,22 +358,46 @@ def build(
 # -- serialization ------------------------------------------------------------
 
 
+# Component labels by index.  The relation JSON below and the explainer's
+# feature names both read them.
+ALLEN_LABELS = tuple(r.label for r in Allen)
+MOTION_LABELS = tuple(m.label for m in Motion)
+SECTOR_LABELS = tuple(s.label for s in Sector)
+
+
+def relation_to_dict(rel: RelationTuple) -> dict:
+    """The one JSON spelling of a relation, shared by graph and explanation
+    files: component labels under ``ra``, ``qtcb``, ``qdc`` and ``star4``."""
+    return {
+        "ra": [ALLEN_LABELS[rel.ra.x], ALLEN_LABELS[rel.ra.y]],
+        "qtcb": [MOTION_LABELS[rel.qtcb.a], MOTION_LABELS[rel.qtcb.b]],
+        "qdc": rel.qdc.band_name,
+        "star4": SECTOR_LABELS[rel.star4],
+    }
+
+
+def relation_code(payload: dict, band_index: dict[str, int]) -> int:
+    """Inverse of :func:`relation_to_dict`, straight to the packed code;
+    ``band_index`` maps each distance band name to its index."""
+    return pack_code(
+        ALLEN_BY_LABEL[payload["ra"][0]],
+        ALLEN_BY_LABEL[payload["ra"][1]],
+        MOTION_BY_LABEL[payload["qtcb"][0]],
+        MOTION_BY_LABEL[payload["qtcb"][1]],
+        band_index[payload["qdc"]],
+        SECTOR_BY_LABEL[payload["star4"]],
+        len(band_index),
+    )
+
+
 def graph_to_dict(graph: QXG) -> dict:
     edges_out = []
     for (a, b) in sorted(graph.edges):
         history = graph.edges[(a, b)]
-        relations = []
-        for frame, code in zip(history.frames, history.codes):
-            rel = graph.decode(code)
-            relations.append(
-                {
-                    "frame": frame,
-                    "ra": [rel.ra.x.label, rel.ra.y.label],
-                    "qtcb": [rel.qtcb.a.label, rel.qtcb.b.label],
-                    "qdc": rel.qdc.band_name,
-                    "star4": rel.star4.label,
-                }
-            )
+        relations = [
+            {"frame": frame, **relation_to_dict(graph.decode(code))}
+            for frame, code in zip(history.frames, history.codes)
+        ]
         edges_out.append({"a": a, "b": b, "relations": relations})
     return {
         "scene_id": graph.scene_id,
@@ -376,9 +417,10 @@ def graph_from_dict(payload: dict) -> QXG:
         band_names = tuple(payload["qdc_bands"])
         graph = QXG(payload["scene_id"], band_names)
         band_index = {name: i for i, name in enumerate(band_names)}
+        if len(band_index) != len(band_names):
+            raise ValueError(f"not a serialized scene graph: band names {band_names} repeat")
         for node in payload["nodes"]:
             graph.node_classes[node["id"]] = node["class"]
-        n_bands = len(band_names)
         for edge in payload["edges"]:
             key = (edge["a"], edge["b"])
             if not key[0] < key[1]:
@@ -400,17 +442,7 @@ def graph_from_dict(payload: dict) -> QXG:
                         f"increasing integers, got {frame!r} after {history.frames[-1:]}"
                     )
                 history.frames.append(frame)
-                history.codes.append(
-                    pack_code(
-                        ALLEN_BY_LABEL[rel["ra"][0]],
-                        ALLEN_BY_LABEL[rel["ra"][1]],
-                        MOTION_BY_LABEL[rel["qtcb"][0]],
-                        MOTION_BY_LABEL[rel["qtcb"][1]],
-                        band_index[rel["qdc"]],
-                        SECTOR_BY_LABEL[rel["star4"]],
-                        n_bands,
-                    )
-                )
+                history.codes.append(relation_code(rel, band_index))
             graph.edges[key] = history
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"not a serialized scene graph: {exc!r}") from None
@@ -423,17 +455,6 @@ def _dot_escape(text: str) -> str:
 
 def _dot_quote(text: str) -> str:
     return '"' + _dot_escape(text) + '"'
-
-
-def _tuple_label(rel: RelationTuple) -> str:
-    return "|".join(
-        (
-            f"{rel.ra.x.label},{rel.ra.y.label}",
-            f"{rel.qtcb.a.label},{rel.qtcb.b.label}",
-            rel.qdc.band_name,
-            rel.star4.label,
-        )
-    )
 
 
 def export_graph(graph: QXG, fmt: str = "json") -> bytes:
@@ -450,11 +471,9 @@ def export_graph(graph: QXG, fmt: str = "json") -> bytes:
             label = f"{_dot_escape(oid)}\\n({_dot_escape(graph.node_classes[oid])})"
             lines.append(f'  {_dot_quote(oid)} [label="{label}"];')
         for (a, b) in sorted(graph.edges):
-            history = graph.edges[(a, b)]
-            final = graph.decode(history.codes[-1])
-            lines.append(
-                f"  {_dot_quote(a)} -- {_dot_quote(b)} [label={_dot_quote(_tuple_label(final))}];"
-            )
+            rel = relation_to_dict(graph.decode(graph.edges[(a, b)].codes[-1]))
+            label = "|".join((",".join(rel["ra"]), ",".join(rel["qtcb"]), rel["qdc"], rel["star4"]))
+            lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [label={_dot_quote(label)}];")
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown export format {fmt!r} (expected 'json' or 'dot')")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -214,6 +215,11 @@ class RelationTuple:
     star4: Sector
 
 
+def _is_finite_real(value) -> bool:
+    # a bool is no distance; the bound also rules out NaN and oversized ints
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class CalculiConfig:
     """Tunables for the distance bands and the trajectory dead band.
@@ -229,6 +235,12 @@ class CalculiConfig:
     qtc_epsilon: float = 0.05
 
     def __post_init__(self) -> None:
+        numbers = (*self.qdc_band_edges, self.qtc_epsilon)
+        if not all(_is_finite_real(v) for v in numbers):
+            raise ValueError(f"band edges and qtc_epsilon must be finite numbers, got {numbers}")
+        names = self.qdc_band_names
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError(f"band names must be distinct strings, got {names}")
         if len(self.qdc_band_names) != len(self.qdc_band_edges) + 1:
             raise ValueError(
                 f"{len(self.qdc_band_edges)} edges need {len(self.qdc_band_edges) + 1} "

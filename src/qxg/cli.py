@@ -92,7 +92,10 @@ def _replace_from(base, payload, allowed: dict, where: str):
         if not check(value):
             raise ValueError(f"{where}: {key!r} must be {what}, got {json.dumps(value)}")
         values[key] = convert(value)
-    return replace(base, **values)
+    try:
+        return replace(base, **values)
+    except ValueError as exc:  # the value object's own checks, e.g. distinct band names
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_app_config(path: str | Path) -> AppConfig:

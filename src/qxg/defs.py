@@ -37,6 +37,9 @@ class Hyperparams:
     balance: bool = True
 
     def __post_init__(self) -> None:
+        sizes = (self.n_trees, self.max_depth, self.min_samples_leaf)
+        if any(type(v) is not int for v in sizes) or type(self.balance) is not bool:
+            raise ValueError(f"hyperparameters must be integers and balance true or false: {self}")
         if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
             raise ValueError(f"hyperparameters must be positive: {self}")
 

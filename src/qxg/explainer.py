@@ -27,8 +27,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .builder import QXG, build, pack_code, unpack_code
-from .calculi import DEFAULT_CONFIG, Allen, CalculiConfig, Motion, RelationTuple, Sector
+from .builder import (
+    ALLEN_LABELS,
+    MOTION_LABELS,
+    QXG,
+    SECTOR_LABELS,
+    build,
+    pack_code,
+    relation_to_dict,
+    unpack_code,
+)
+from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple
 from .defs import Hyperparams, UnknownAction
 from .scene import ActionAnnotation, Scene
 
@@ -93,10 +102,6 @@ class CorruptModel(ValueError):
 
 # -- encoding -----------------------------------------------------------------
 
-_N_ALLEN = 13
-_N_MOTION = 4
-_N_SECTOR = 4
-
 
 @dataclass(frozen=True)
 class EncodingSpec:
@@ -113,14 +118,29 @@ class EncodingSpec:
     band_names: tuple[str, ...] = DEFAULT_CONFIG.qdc_band_names
 
     def __post_init__(self) -> None:
+        if type(self.t) is not int:
+            raise ValueError(f"chain length must be an integer, got {self.t!r}")
         if self.t < 1:
             raise ValueError(f"chain length must be at least 1, got {self.t}")
         if not self.band_names:
             raise ValueError("need at least one distance band")
 
     @property
+    def blocks(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The one-hot blocks of a slot as ``(name, labels)``, in
+        ``unpack_code`` order; the missing flag follows the last block."""
+        return (
+            ("x", ALLEN_LABELS),
+            ("y", ALLEN_LABELS),
+            ("actor", MOTION_LABELS),
+            ("other", MOTION_LABELS),
+            ("dist", self.band_names),
+            ("sector", SECTOR_LABELS),
+        )
+
+    @property
     def slot_width(self) -> int:
-        return 2 * _N_ALLEN + 2 * _N_MOTION + len(self.band_names) + _N_SECTOR + 1
+        return sum(len(labels) for _, labels in self.blocks) + 1
 
     @property
     def feature_len(self) -> int:
@@ -142,30 +162,22 @@ class EncodingSpec:
         self, chains: Sequence[Sequence[tuple[int, int]]], at_frame: int
     ) -> np.ndarray:
         """One row per chain of ``(frame, code)`` pairs (as produced by
-        ``QXG.code_chain``), laid out as :meth:`encode` describes."""
-        start = at_frame - self.t + 1
+        ``QXG.window_chains``), laid out as :meth:`encode` describes."""
+        last = self.t - 1  # the annotation frame's slot
         hits = [
-            (row, frame - start, code)
+            (row, last - (at_frame - frame), code)
             for row, chain in enumerate(chains)
             for frame, code in chain
-            if start <= frame <= at_frame
+            if 0 <= at_frame - frame <= last
         ]
         X = np.zeros((len(chains), self.t, self.slot_width), dtype=np.float64)
         X[:, :, -1] = 1.0
         if hits:
             rows, slots, codes = np.array(hits).T
-            ax, ay, am, bm, band, sector = unpack_code(codes, len(self.band_names))
-            motion = 2 * _N_ALLEN
-            band_base = motion + 2 * _N_MOTION
-            for column in (
-                ax,
-                _N_ALLEN + ay,
-                motion + am,
-                motion + _N_MOTION + bm,
-                band_base + band,
-                band_base + len(self.band_names) + sector,
-            ):
-                X[rows, slots, column] = 1.0
+            offset = 0
+            for (_, labels), component in zip(self.blocks, unpack_code(codes, len(self.band_names))):
+                X[rows, slots, offset + component] = 1.0
+                offset += len(labels)
             X[rows, slots, -1] = 0.0
         return X.reshape(len(chains), self.feature_len)
 
@@ -175,66 +187,41 @@ class EncodingSpec:
         if not 0 <= index < self.feature_len:
             raise IndexError(f"feature index {index} out of range 0..{self.feature_len - 1}")
         slot, within = divmod(index, self.slot_width)
-        offset = slot - (self.t - 1)
-        n_bands = len(self.band_names)
-        if within < _N_ALLEN:
-            part = f"x={Allen(within).label}"
-        elif within < 2 * _N_ALLEN:
-            part = f"y={Allen(within - _N_ALLEN).label}"
-        elif within < 2 * _N_ALLEN + _N_MOTION:
-            part = f"actor={Motion(within - 2 * _N_ALLEN).label}"
-        elif within < 2 * _N_ALLEN + 2 * _N_MOTION:
-            part = f"other={Motion(within - 2 * _N_ALLEN - _N_MOTION).label}"
-        elif within < 2 * _N_ALLEN + 2 * _N_MOTION + n_bands:
-            part = f"dist={self.band_names[within - 2 * _N_ALLEN - 2 * _N_MOTION]}"
-        elif within < self.slot_width - 1:
-            part = f"sector={Sector(within - 2 * _N_ALLEN - 2 * _N_MOTION - n_bands).name}"
-        else:
-            part = "missing"
-        return f"frame{offset:+d} {part}"
+        frame = f"frame{slot - (self.t - 1):+d}"
+        for name, labels in self.blocks:
+            if within < len(labels):
+                return f"{frame} {name}={labels[within]}"
+            within -= len(labels)
+        return f"{frame} missing"
 
     def decode(self, vector: np.ndarray) -> list[dict]:
         """Inverse of ``encode`` for inspection: per-slot labels (None where
         a one-hot block is all zero)."""
         if len(vector) != self.feature_len:
             raise LengthMismatch(f"expected {self.feature_len} features, got {len(vector)}")
-        n_bands = len(self.band_names)
         out = []
         for slot in range(self.t):
-            base = slot * self.slot_width
-
-            def block(offset: int, size: int):
-                hits = [i for i in range(size) if vector[base + offset + i] > 0.5]
-                return hits[0] if hits else None
-
-            x = block(0, _N_ALLEN)
-            y = block(_N_ALLEN, _N_ALLEN)
-            am = block(2 * _N_ALLEN, _N_MOTION)
-            bm = block(2 * _N_ALLEN + _N_MOTION, _N_MOTION)
-            band = block(2 * _N_ALLEN + 2 * _N_MOTION, n_bands)
-            sector = block(2 * _N_ALLEN + 2 * _N_MOTION + n_bands, _N_SECTOR)
-            out.append(
-                {
-                    "x": Allen(x).label if x is not None else None,
-                    "y": Allen(y).label if y is not None else None,
-                    "actor": Motion(am).label if am is not None else None,
-                    "other": Motion(bm).label if bm is not None else None,
-                    "dist": self.band_names[band] if band is not None else None,
-                    "sector": Sector(sector).name if sector is not None else None,
-                    "missing": bool(vector[base + self.slot_width - 1] > 0.5),
-                }
-            )
+            bits = iter(vector[slot * self.slot_width : (slot + 1) * self.slot_width] > 0.5)
+            entry = {}
+            for name, labels in self.blocks:
+                # labels go first, so zip takes exactly len(labels) bits
+                hits = [label for label, hit in zip(labels, bits) if hit]
+                entry[name] = hits[0] if hits else None
+            entry["missing"] = bool(next(bits))
+            out.append(entry)
         return out
 
 
 @dataclass(frozen=True)
 class PairSample:
-    """One encoded actor/other chain at one frame."""
+    """One encoded actor/other chain at one frame, with the window's
+    ``(frame, code)`` pairs it encodes."""
 
     actor: str
     other: str
     frame: int
     vector: np.ndarray
+    chain: list[tuple[int, int]]
 
     def __eq__(self, other_obj: object) -> bool:  # ndarray needs help
         if not isinstance(other_obj, PairSample):
@@ -244,6 +231,7 @@ class PairSample:
             and self.other == other_obj.other
             and self.frame == other_obj.frame
             and np.array_equal(self.vector, other_obj.vector)
+            and self.chain == other_obj.chain
         )
 
 
@@ -257,15 +245,9 @@ def extract_features(
         raise ValueError(
             f"graph bands {graph.band_names!r} do not match encoding bands {spec.band_names!r}"
         )
-    window_start = at_frame - spec.t + 1
-    others, chains = [], []
-    for other in graph.partners(actor):
-        chain = graph.code_chain(actor, other, at_frame, spec.t)
-        if chain and chain[-1][0] >= window_start:
-            others.append(other)
-            chains.append(chain)
-    X = spec.encode_codes(chains, at_frame)
-    return [PairSample(actor, other, at_frame, row) for other, row in zip(others, X)]
+    pairs = graph.window_chains(actor, at_frame, spec.t)
+    X = spec.encode_codes([chain for _, chain in pairs], at_frame)
+    return [PairSample(actor, other, at_frame, row, chain) for (other, chain), row in zip(pairs, X)]
 
 
 # -- datasets -----------------------------------------------------------------
@@ -658,16 +640,10 @@ def explain(
         order = [i for i in order if scores[i] >= threshold]
     if k is not None:
         order = order[:k]
-    window_start = at_frame - model.spec.t + 1
     candidates = []
     for i in order:
         sample = samples[i]
         best_tree = int(np.argmax(fracs[i]))  # the first tree on ties
-        chain = tuple(
-            (f, rel)
-            for f, rel in graph.edge_chain(actor, sample.other, at_frame, model.spec.t)
-            if f >= window_start
-        )
         candidates.append(
             Candidate(
                 sample.other,
@@ -677,7 +653,7 @@ def explain(
                 float(fracs[i, best_tree]),
                 int(forest.count[leaves[i, best_tree]]),
                 _decision_path(model, trees[best_tree], sample.vector),
-                chain,
+                tuple((f, graph.decode(code)) for f, code in sample.chain),
             )
         )
     return Explanation(graph.scene_id, actor, at_frame, action, tuple(candidates))
@@ -697,16 +673,7 @@ def explanation_to_dict(explanation: Explanation) -> dict:
                 "best_tree": c.best_tree,
                 "leaf_fraction": c.leaf_fraction,
                 "leaf_count": c.leaf_count,
-                "chain": [
-                    {
-                        "frame": f,
-                        "ra": [rel.ra.x.label, rel.ra.y.label],
-                        "qtcb": [rel.qtcb.a.label, rel.qtcb.b.label],
-                        "qdc": rel.qdc.band_name,
-                        "star4": rel.star4.label,
-                    }
-                    for f, rel in c.chain
-                ],
+                "chain": [{"frame": f, **relation_to_dict(rel)} for f, rel in c.chain],
                 "path": [
                     {"feature": s.feature, "description": s.description, "value": s.value}
                     for s in c.path
@@ -884,6 +851,8 @@ def model_from_json(data: bytes | str) -> Model:
         empty = sorted(action for action, trees in forests.items() if not trees)
         if empty:
             raise CorruptModel(f"no trees for {empty}")
+        if type(payload["seed"]) is not int:
+            raise CorruptModel(f"seed {payload['seed']!r} is not an integer")
         model = Model(payload["seed"], spec, cfg, hp, forests)
     except CorruptModel:
         raise

@@ -15,6 +15,7 @@ corpus; ``"none"`` means the annotated action had no single causal object.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
@@ -34,7 +35,6 @@ __all__ = [
     "SchemaViolation",
     "OrderingViolation",
     "DanglingAnnotation",
-    "parse_trace",
     "load_trace",
     "serialize_scene",
     "validate_scene",
@@ -190,7 +190,9 @@ def _iter_lines(data: TraceInput) -> Iterable[str]:
             line_no = data.count(b"\n", 0, exc.start) + 1
             raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
     if isinstance(data, str):
-        return data.splitlines()
+        # split as a text file does, at \n, \r\n or a lone \r: JSON strings
+        # may hold U+2028, U+2029 or U+0085 raw, and str.splitlines cuts there
+        data = io.StringIO(data, newline=None)
     return (line.rstrip("\n") for line in data)
 
 
@@ -310,11 +312,6 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
 
     scene = Scene(scene_id, tuple(frames))
     return scene, [a for a, _ in raw_annotations], [c for c, _ in raw_causes]
-
-
-def parse_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation]]:
-    scene, annotations, _ = load_trace(data)
-    return scene, annotations
 
 
 def serialize_scene(

@@ -352,17 +352,6 @@ def _assemble(
     return Scene(scene_id, tuple(frames))
 
 
-def _window_chains(scene: Scene, ann_frame: int):
-    graph = build(scene)
-    start = ann_frame - _WINDOW + 1
-    chains = {}
-    for other in graph.partners(EGO_ID):
-        chain = [(f, rel) for f, rel in graph.edge_chain(EGO_ID, other, ann_frame, _WINDOW) if f >= start]
-        if chain:
-            chains[other] = chain
-    return chains
-
-
 def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundTruth]:
     """Generate one scene.  Deterministic in the spec (including its seed):
     the same spec always yields byte-identical frames and annotations."""
@@ -376,14 +365,14 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
     else:
         # jitter must perturb coordinates without flipping any windowed
         # relation, otherwise the planted ground truth would silently rot
-        reference = _window_chains(clean, ann_frame)
+        reference = build(clean).window_chains(EGO_ID, ann_frame, _WINDOW)
         for _ in range(50):
             offsets = {
                 oid: (rng.gauss(0.0, spec.jitter_sigma), rng.gauss(0.0, spec.jitter_sigma))
                 for oid in tracks
             }
             scene = _assemble(scene_id, tracks, spec.n_frames, offsets)
-            if _window_chains(scene, ann_frame) == reference:
+            if build(scene).window_chains(EGO_ID, ann_frame, _WINDOW) == reference:
                 break
         else:
             raise RuntimeError(

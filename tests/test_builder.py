@@ -24,6 +24,8 @@ from qxg.builder import (
     converse_code,
     export_graph,
     import_graph,
+    relation_code,
+    relation_to_dict,
 )
 from qxg.scene import Frame, ObjectState, Scene
 
@@ -222,6 +224,13 @@ class TestEdgeChain:
         rev = gappy.edge_chain("b", "a", 6, 2)
         assert [(f, converse_tuple(r)) for f, r in fwd] == rev
 
+    @pytest.mark.parametrize("actor, other", [("a", "b"), ("b", "a")])
+    def test_window_keeps_only_frames_inside_it(self, gappy, actor, other):
+        # the window of frames 2..6 holds 2, 5 and 6; 3..4 is a gap
+        assert gappy.window_chains(actor, 6, 5) == [(other, gappy.code_chain(actor, other, 6, 3))]
+        assert gappy.window_chains(actor, 4, 2) == []  # last shared frame 2 precedes 3..4
+        assert [f for f, _ in gappy.window_chains(actor, 5, 3)[0][1]] == [5]
+
 
 class TestPacking:
     def test_every_code_decodes_and_repacks(self):
@@ -240,6 +249,12 @@ class TestPacking:
         n_bands = len(graph.band_names)
         for code in range(13 * 13 * 4 * 4 * n_bands * 4):
             assert graph.decode(converse_code(code, n_bands)) == converse_tuple(graph.decode(code))
+
+    def test_relation_json_round_trips_every_code(self):
+        graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
+        band_index = {name: i for i, name in enumerate(graph.band_names)}
+        for code in range(13 * 13 * 4 * 4 * len(band_index) * 4):
+            assert relation_code(relation_to_dict(graph.decode(code)), band_index) == code
 
     def test_decode_components(self):
         graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
@@ -319,6 +334,11 @@ class TestSerialization:
         # the edge label is the latest tuple, all four components in order
         final = graph.decode(graph.edges[("ego", "ped")].codes[-1])
         assert f'label="{final.ra.x.label},{final.ra.y.label}|' in text
+        label = (
+            f"{final.ra.x.label},{final.ra.y.label}|{final.qtcb.a.label},{final.qtcb.b.label}|"
+            f"{final.qdc.band_name}|{final.star4.label}"
+        )
+        assert f'"ego" -- "ped" [label="{label}"];' in text
         assert text.rstrip().endswith("}")
 
     def test_unknown_format_rejected(self):
@@ -349,10 +369,11 @@ class TestSerialization:
             ("unsorted-frames", "strictly increasing"),
             ("repeated-frame", "strictly increasing"),
             ("float-frame", "strictly increasing"),
+            ("repeated-band", "band names .* repeat"),
         ],
         ids=[
             "reversed", "self-edge", "unknown-end", "repeated-edge",
-            "unsorted-frames", "repeated-frame", "float-frame",
+            "unsorted-frames", "repeated-frame", "float-frame", "repeated-band",
         ],
     )
     def test_graph_invariants_checked(self, damage, match):
@@ -372,6 +393,8 @@ class TestSerialization:
             relations[0], relations[1] = relations[1], relations[0]
         elif damage == "repeated-frame":
             relations[1]["frame"] = relations[0]["frame"]
+        elif damage == "repeated-band":
+            payload["qdc_bands"][1] = payload["qdc_bands"][0]
         else:
             relations[2]["frame"] = 2.0
         with pytest.raises(ValueError, match=match):

@@ -257,6 +257,25 @@ def test_band_config_validation():
     assert two_band.band_count == 2
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"qdc_band_edges": (1.0, 5.0, 15.0, math.nan)},
+        {"qdc_band_edges": (1.0, 5.0, 15.0, math.inf)},
+        {"qdc_band_edges": (1.0, 5.0, 15.0, 10**400)},
+        {"qdc_band_edges": (True, 5.0, 15.0, 50.0)},
+        {"qdc_band_edges": (1.0, 5.0, 15.0, "50")},
+        {"qtc_epsilon": math.nan},
+        {"qtc_epsilon": False},
+        {"qdc_band_names": (0, 1, 2, 3, 4)},
+        {"qdc_band_names": ("a", "a", "b", "c", "d")},
+    ],
+)
+def test_band_config_checks_its_field_types(fields):
+    with pytest.raises(ValueError):
+        CalculiConfig(**fields)
+
+
 # ---------------------------------------------------------------------------
 # trajectory relation
 

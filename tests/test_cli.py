@@ -188,6 +188,7 @@ class TestConfig:
             '{"calculi": {"qtc_epsilon": "0.05"}}',
             '{"calculi": {"qtc_epsilon": true}}',
             '{"calculi": {"qtc_epsilon": 1e999}}',
+            '{"calculi": {"qdc_band_names": ["a", "a", "b", "c", "d"]}}',
             '{"hyperparams": null}',
             '{"hyperparams": {"balance": "false"}}',
             '{"hyperparams": {"balance": 0}}',
@@ -318,6 +319,35 @@ class TestExplain:
             "explain", "--trace", str(corpus / entry["file"]), "--model", str(cyclic),
             "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
             timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: explain:") and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("calculi", "qdc_band_edges", [1.0, 5.0, 15.0, float("nan")]),
+            ("calculi", "qdc_band_edges", [True, 5.0, 15.0, 50.0]),
+            ("calculi", "qtc_epsilon", float("nan")),
+            ("calculi", "qdc_band_names", [0, 1, 2, 3, 4]),
+            ("calculi", "qdc_band_names", ["a", "a", "b", "c", "d"]),
+            (None, "t", 5.0),
+        ],
+        ids=["nan-edge", "bool-edge", "nan-epsilon", "int-names", "repeated-names", "float-t"],
+    )
+    def test_mistyped_model_config_is_runtime_error(
+        self, corpus, manifest, model_file, tmp_path, section, key, value
+    ):
+        payload = json.loads(model_file.read_bytes())
+        (payload[section] if section else payload)[key] = value
+        if key == "t":
+            payload["encoding"]["feature_len"] = float(payload["encoding"]["feature_len"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        entry = _entry(manifest, "StoppingForCrosser")
+        result = run_cli(
+            "explain", "--trace", str(corpus / entry["file"]), "--model", str(bad),
+            "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
         )
         assert result.returncode == 1
         assert result.stderr.startswith("error: explain:") and "Traceback" not in result.stderr

@@ -48,6 +48,7 @@ from qxg.explainer import (
     train,
 )
 from qxg.scene import ActionAnnotation, Frame, ObjectState, Scene
+from qxg.synthgen import generate_corpus
 
 SPEC = EncodingSpec()
 
@@ -129,6 +130,26 @@ class TestEncodingSpec:
             SPEC.describe_feature(220)
         with pytest.raises(IndexError):
             SPEC.describe_feature(-1)
+
+    @pytest.mark.parametrize(
+        "spec", [SPEC, EncodingSpec(t=3, band_names=("a", "b"))], ids=["default", "two-band-t3"]
+    )
+    def test_decode_and_describe_name_the_same_bit(self, spec):
+        for i in range(spec.feature_len):
+            one_hot = np.zeros(spec.feature_len)
+            one_hot[i] = 1.0
+            named = [
+                f"frame{slot - (spec.t - 1):+d} " + (name if value is True else f"{name}={value}")
+                for slot, entry in enumerate(spec.decode(one_hot))
+                for name, value in entry.items()
+                if value is not None and value is not False
+            ]
+            assert named == [spec.describe_feature(i)]
+
+    @pytest.mark.parametrize("t", [5.0, True, "5"])
+    def test_rejects_a_chain_length_that_is_no_integer(self, t):
+        with pytest.raises(ValueError, match="integer"):
+            EncodingSpec(t=t)
 
     def test_decode_length_check(self):
         with pytest.raises(LengthMismatch):
@@ -255,6 +276,23 @@ class TestCodeReadPath:
         monkeypatch.setattr(QXG, "decode", refuse)
         assert [extract_features(graph, actor, frame, SPEC) for actor, frame in queries] == want
         assert any(want)
+
+    def test_candidate_chains_equal_windowed_edge_chains(self):
+        """Every explanation candidate on the criterion-5 corpus carries the
+        window part of its pair's decoded ``edge_chain``."""
+        train_items, test_items = generate_corpus(100, 25, master_seed=42)
+        model = train(build_dataset([(s, a) for s, a, _ in train_items], t=5), seed=42)
+        t = model.spec.t
+        checked = 0
+        for scene, annotation, _ in test_items:
+            graph = build(scene)
+            actor, frame = annotation.actor_id, annotation.frame_index
+            result = explain(model, graph, actor, frame, annotation.action)
+            for candidate in result.candidates:
+                reference = graph.edge_chain(actor, candidate.other, frame, t)
+                assert list(candidate.chain) == [(f, rel) for f, rel in reference if f > frame - t]
+                checked += 1
+        assert checked > len(test_items)
 
 
 # -- a tiny hand-rolled corpus: "Chase" scenes end with one object bearing
@@ -390,8 +428,16 @@ class TestTraining:
             train(dataset, actions=["Chase", "Swerving"])
 
     def test_hyperparam_validation(self):
-        with pytest.raises(ValueError):
-            Hyperparams(n_trees=0)
+        for fields in (
+            {"n_trees": 0},
+            {"n_trees": True},
+            {"max_depth": 10.0},
+            {"min_samples_leaf": "5"},
+            {"balance": 1},
+            {"balance": "false"},
+        ):
+            with pytest.raises(ValueError):
+                Hyperparams(**fields)
 
     def test_score_error_paths(self, mini_model):
         model, dataset = mini_model
@@ -653,6 +699,39 @@ class TestPersistence:
         payload = json.loads(model_to_json(model))
         payload["actions"] = {}
         with pytest.raises(CorruptModel, match="no actions"):
+            model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"calculi.qdc_band_edges": [1.0, 5.0, 15.0, float("nan")]},
+            {"calculi.qdc_band_edges": [1.0, 5.0, 15.0, float("inf")]},
+            {"calculi.qdc_band_edges": [True, 5.0, 15.0, 50.0]},
+            {"calculi.qtc_epsilon": float("nan")},
+            {"calculi.qdc_band_names": [0, 1, 2, 3, 4]},
+            {"calculi.qdc_band_names": ["a", "a", "b", "c", "d"]},
+            {"t": 4.0, "encoding.feature_len": 176.0},
+            {"hyperparams.n_trees": True},
+            {"hyperparams.max_depth": 6.0},
+            {"hyperparams.balance": 1},
+            {"seed": 7.0},
+            {"seed": True},
+        ],
+        ids=[
+            "nan-edge", "inf-edge", "bool-edge", "nan-epsilon", "int-names", "repeated-names",
+            "float-t", "bool-n-trees", "float-depth", "int-balance", "float-seed", "bool-seed",
+        ],
+    )
+    def test_mistyped_config_fields(self, mini_model, changes):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        for path, value in changes.items():
+            *sections, key = path.split(".")
+            target = payload
+            for section in sections:
+                target = target[section]
+            target[key] = value
+        with pytest.raises(CorruptModel):
             model_from_json(json.dumps(payload))
 
     def test_feature_len_consistency_checked(self, mini_model):

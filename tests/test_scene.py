@@ -19,7 +19,6 @@ from qxg.scene import (
     Scene,
     SchemaViolation,
     load_trace,
-    parse_trace,
     serialize_scene,
     validate_scene,
 )
@@ -43,7 +42,7 @@ def _trace(*lines):
 
 class TestParsing:
     def test_minimal_trace(self):
-        scene, annotations = parse_trace(_trace(HEADER, _frame_line(0, 0.0, [_obj("ego")])))
+        scene, annotations, _ = load_trace(_trace(HEADER, _frame_line(0, 0.0, [_obj("ego")])))
         assert scene.scene_id == "s0"
         assert len(scene.frames) == 1
         assert annotations == []
@@ -54,11 +53,11 @@ class TestParsing:
 
     def test_accepts_bytes_and_file_objects(self, tmp_path):
         raw = _trace(HEADER, _frame_line(0, 0.0, [_obj("ego")]))
-        scene_from_bytes, _ = parse_trace(raw.encode())
+        scene_from_bytes, _, _ = load_trace(raw.encode())
         path = tmp_path / "trace.jsonl"
         path.write_text(raw)
         with open(path) as fh:
-            scene_from_file, _ = parse_trace(fh)
+            scene_from_file, _, _ = load_trace(fh)
         assert scene_from_bytes == scene_from_file
 
     def test_actions_and_causes(self):
@@ -88,7 +87,7 @@ class TestParsing:
     def test_annotations_may_precede_their_frame(self):
         # JSON Lines appenders sometimes flush annotations early; order of
         # non-frame records is not significant.
-        _, annotations = parse_trace(
+        _, annotations, _ = load_trace(
             _trace(
                 HEADER,
                 '{"type":"action","frame":1,"actor":"ego","action":"Stopping"}',
@@ -99,46 +98,66 @@ class TestParsing:
         assert annotations[0].frame_index == 1
 
     def test_blank_lines_ignored(self):
-        scene, _ = parse_trace(_trace(HEADER, "", _frame_line(0, 0.0, [_obj("ego")]), "   "))
+        scene, _, _ = load_trace(_trace(HEADER, "", _frame_line(0, 0.0, [_obj("ego")]), "   "))
         assert len(scene.frames) == 1
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, sep):
+        lines = (HEADER, _frame_line(0, 0.0, [_obj("ego")]), _frame_line(1, 0.5, [_obj("ego")]))
+        text = sep.join(lines) + sep
+        for data in (text, text.encode()):
+            scene, _, _ = load_trace(data)
+            assert [f.index for f in scene.frames] == [0, 1]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_breaks_inside_strings(self, char):
+        # valid JSON: only control characters below U+0020 must be escaped
+        header = json.dumps(
+            {"type": "header", "scene_id": f"a{char}b", "version": 1}, ensure_ascii=False
+        )
+        text = _trace(header, _frame_line(0, 0.0, [_obj(f"ego{char}")]))
+        for data in (text, text.encode()):
+            scene, _, _ = load_trace(data)
+            assert scene.scene_id == f"a{char}b"
+            assert scene.frames[0].objects[0].object_id == f"ego{char}"
 
 
 class TestMalformedLines:
     @pytest.mark.parametrize("bad", ["{not json", '"just a string"', "[1,2,3]", "42"])
     def test_non_object_lines(self, bad):
         with pytest.raises(MalformedLine) as err:
-            parse_trace(_trace(HEADER, bad))
+            load_trace(_trace(HEADER, bad))
         assert err.value.line_no == 2
 
     def test_line_number_is_reported(self):
         with pytest.raises(MalformedLine, match="line 3"):
-            parse_trace(_trace(HEADER, _frame_line(0, 0.0, []), "oops"))
+            load_trace(_trace(HEADER, _frame_line(0, 0.0, []), "oops"))
 
 
 class TestSchemaViolations:
     def test_missing_header(self):
         with pytest.raises(SchemaViolation, match="before header"):
-            parse_trace(_trace(_frame_line(0, 0.0, [])))
+            load_trace(_trace(_frame_line(0, 0.0, [])))
 
     def test_empty_input(self):
         with pytest.raises(SchemaViolation, match="no header"):
-            parse_trace("")
+            load_trace("")
 
     def test_header_only(self):
         with pytest.raises(SchemaViolation, match="no frames"):
-            parse_trace(_trace(HEADER))
+            load_trace(_trace(HEADER))
 
     def test_duplicate_header(self):
         with pytest.raises(SchemaViolation, match="duplicate header"):
-            parse_trace(_trace(HEADER, HEADER))
+            load_trace(_trace(HEADER, HEADER))
 
     def test_wrong_version(self):
         with pytest.raises(SchemaViolation, match="version"):
-            parse_trace(_trace('{"type":"header","scene_id":"s0","version":2}'))
+            load_trace(_trace('{"type":"header","scene_id":"s0","version":2}'))
 
     def test_unknown_record_type(self):
         with pytest.raises(SchemaViolation, match="unknown record type"):
-            parse_trace(_trace(HEADER, '{"type":"telemetry"}'))
+            load_trace(_trace(HEADER, '{"type":"telemetry"}'))
 
     @pytest.mark.parametrize(
         "mangle",
@@ -156,39 +175,39 @@ class TestSchemaViolations:
         obj = _obj("ego")
         mangle(obj)
         with pytest.raises(SchemaViolation):
-            parse_trace(_trace(HEADER, _frame_line(0, 0.0, [obj])))
+            load_trace(_trace(HEADER, _frame_line(0, 0.0, [obj])))
 
     def test_boolean_frame_index_rejected(self):
         with pytest.raises(SchemaViolation, match="integer"):
-            parse_trace(_trace(HEADER, _frame_line(True, 0.0, [])))
+            load_trace(_trace(HEADER, _frame_line(True, 0.0, [])))
 
     def test_duplicate_object_in_frame(self):
         with pytest.raises(SchemaViolation, match="appears twice"):
-            parse_trace(_trace(HEADER, _frame_line(0, 0.0, [_obj("ego"), _obj("ego")])))
+            load_trace(_trace(HEADER, _frame_line(0, 0.0, [_obj("ego"), _obj("ego")])))
 
 
 class TestOrderingViolations:
     def test_repeated_frame_index(self):
         with pytest.raises(OrderingViolation):
-            parse_trace(_trace(HEADER, _frame_line(0, 0.0, []), _frame_line(0, 0.5, [])))
+            load_trace(_trace(HEADER, _frame_line(0, 0.0, []), _frame_line(0, 0.5, [])))
 
     def test_decreasing_frame_index(self):
         with pytest.raises(OrderingViolation, match="strictly increase"):
-            parse_trace(_trace(HEADER, _frame_line(5, 0.0, []), _frame_line(3, 0.5, [])))
+            load_trace(_trace(HEADER, _frame_line(5, 0.0, []), _frame_line(3, 0.5, [])))
 
     def test_decreasing_timestamp(self):
         with pytest.raises(OrderingViolation, match="timestamp"):
-            parse_trace(_trace(HEADER, _frame_line(0, 1.0, []), _frame_line(1, 0.5, [])))
+            load_trace(_trace(HEADER, _frame_line(0, 1.0, []), _frame_line(1, 0.5, [])))
 
     def test_gap_in_indices_is_fine(self):
-        scene, _ = parse_trace(_trace(HEADER, _frame_line(0, 0.0, []), _frame_line(7, 3.5, [])))
+        scene, _, _ = load_trace(_trace(HEADER, _frame_line(0, 0.0, []), _frame_line(7, 3.5, [])))
         assert [f.index for f in scene.frames] == [0, 7]
 
 
 class TestDanglingAnnotations:
     def test_action_on_missing_frame(self):
         with pytest.raises(DanglingAnnotation, match="missing frame"):
-            parse_trace(
+            load_trace(
                 _trace(
                     HEADER,
                     _frame_line(0, 0.0, [_obj("ego")]),
@@ -198,7 +217,7 @@ class TestDanglingAnnotations:
 
     def test_action_by_absent_actor(self):
         with pytest.raises(DanglingAnnotation, match="not present"):
-            parse_trace(
+            load_trace(
                 _trace(
                     HEADER,
                     _frame_line(0, 0.0, [_obj("ego")]),
@@ -256,7 +275,7 @@ def scenes(draw):
 @given(scenes())
 @settings(max_examples=60)
 def test_serialize_parse_round_trip(scene):
-    restored, annotations = parse_trace(serialize_scene(scene))
+    restored, annotations, _ = load_trace(serialize_scene(scene))
     assert restored == scene
     assert annotations == []
 
@@ -291,7 +310,7 @@ def test_serialization_is_deterministic():
 def test_serialized_floats_keep_precision():
     box = BBox2D(Interval(0.1, 0.30000000000000004), Interval(-7.25, 1e-9))
     scene = Scene("fp", (Frame(0, 1 / 3, (ObjectState("o", "car", box),)),))
-    restored, _ = parse_trace(serialize_scene(scene))
+    restored, _, _ = load_trace(serialize_scene(scene))
     assert restored.frames[0].timestamp == 1 / 3
     assert restored.frames[0].objects[0].bbox == box
 
