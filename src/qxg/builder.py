@@ -206,16 +206,9 @@ class Builder:
     against wherever it was last seen, not reset to Unknown.
     """
 
-    def __init__(
-        self,
-        scene_id: str,
-        cfg: CalculiConfig = DEFAULT_CONFIG,
-        *,
-        max_pair_distance: float | None = None,
-    ):
+    def __init__(self, scene_id: str, cfg: CalculiConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.graph = QXG(scene_id, cfg.qdc_band_names)
-        self.max_pair_distance = max_pair_distance
         self._last_center: dict[str, tuple[float, float]] = {}
         self._last_index: int | None = None
 
@@ -229,7 +222,6 @@ class Builder:
         edges = self.cfg.qdc_band_edges
         n_bands = len(self.cfg.qdc_band_names)
         eps = self.cfg.qtc_epsilon
-        prune = self.max_pair_distance
         last_center = self._last_center
         node_classes = self.graph.node_classes
         graph_edges = self.graph.edges
@@ -254,10 +246,6 @@ class Builder:
             a_prev = last_center.get(a_id)
             for j in range(i + 1, len(states)):
                 b_id, bxl, bxh, byl, byh, bcx, bcy = states[j]
-
-                dist = hypot(acx - bcx, acy - bcy)
-                if prune is not None and dist > prune:
-                    continue
 
                 # Interval relation per axis (exact endpoint ties).
                 if axh < bxl:
@@ -311,7 +299,7 @@ class Builder:
                     b_delta = hypot(bcx - apx, bcy - apy) - hypot(bpx - apx, bpy - apy)
                     bm = 0 if b_delta < -eps else (2 if b_delta > eps else 1)
 
-                band = bisect_right(edges, dist)
+                band = bisect_right(edges, hypot(acx - bcx, acy - bcy))
 
                 dx = bcx - acx
                 dy = bcy - acy
@@ -342,14 +330,9 @@ class Builder:
         return BuilderStats(frame_index, len(states), pairs_updated, time.perf_counter_ns() - t0)
 
 
-def build(
-    scene: Scene,
-    cfg: CalculiConfig = DEFAULT_CONFIG,
-    *,
-    max_pair_distance: float | None = None,
-) -> QXG:
+def build(scene: Scene, cfg: CalculiConfig = DEFAULT_CONFIG) -> QXG:
     """Run a whole scene through a fresh builder."""
-    builder = Builder(scene.scene_id, cfg, max_pair_distance=max_pair_distance)
+    builder = Builder(scene.scene_id, cfg)
     for frame in scene.frames:
         builder.push_frame(frame)
     return builder.graph

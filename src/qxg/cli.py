@@ -17,17 +17,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .defs import KINDS, Hyperparams, UnknownAction
+from .defs import KINDS, Hyperparams, UnknownAction, replace_from_json
 from .scene import CauseRecord, TraceError, load_trace, serialize_scene
 
 # The numpy modules (explainer, synthgen, bench) load inside the handlers
@@ -47,91 +48,29 @@ class AppConfig:
     seed: int = 42
     out: str | None = None
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # finite and within float range, so float() never overflows
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-# config key -> (what it must be, check, conversion)
-_CALCULI_KEYS = {
-    "qdc_band_edges": ("a list of finite numbers", _is_list_of(_is_real), tuple),
-    "qdc_band_names": ("a list of strings", _is_list_of(lambda v: isinstance(v, str)), tuple),
-    "qtc_epsilon": ("a finite number", _is_real, float),
-}
-_HYPERPARAM_KEYS = {
-    "n_trees": ("an integer", _is_int, int),
-    "max_depth": ("an integer", _is_int, int),
-    "min_samples_leaf": ("an integer", _is_int, int),
-    "balance": ("true or false", lambda v: isinstance(v, bool), bool),
-}
-_TOP_KEYS = {
-    "t": ("an integer", _is_int, int),
-    "seed": ("an integer", _is_int, int),
-    "out": ("a string", lambda v: isinstance(v, str), str),
-}
-
-
-def _replace_from(base, payload, allowed: dict, where: str):
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = set(payload) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    values = {}
-    for key, value in payload.items():
-        what, check, convert = allowed[key]
-        if not check(value):
-            raise ValueError(f"{where}: {key!r} must be {what}, got {json.dumps(value)}")
-        values[key] = convert(value)
-    try:
-        return replace(base, **values)
-    except ValueError as exc:  # the value object's own checks, e.g. distinct band names
-        raise ValueError(f"{where}: {exc}") from None
+    def __post_init__(self) -> None:
+        if not (type(self.t) is type(self.seed) is int and isinstance(self.out, (str, type(None)))):
+            raise ValueError(f"t and seed must be integers and out a string or null: {self}")
 
 
 def load_app_config(path: str | Path) -> AppConfig:
     """Read an :class:`AppConfig` from JSON; omitted keys keep defaults.
-    Values must already have their key's type: nothing is cast."""
+    Values must already have their key's type: only an int in a float
+    field is converted."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path}: not valid JSON ({exc})") from exc
-    where = f"config {path}"
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-
-    cfg = AppConfig()
-    top = dict(payload)
-    if "calculi" in top:
-        calculi = _replace_from(DEFAULT_CONFIG, top.pop("calculi"), _CALCULI_KEYS, f"{where}: calculi")
-        cfg = replace(cfg, calculi=calculi)
-    if "hyperparams" in top:
-        hp = _replace_from(Hyperparams(), top.pop("hyperparams"), _HYPERPARAM_KEYS, f"{where}: hyperparams")
-        cfg = replace(cfg, hyperparams=hp)
-    return _replace_from(cfg, top, _TOP_KEYS, where)
+    return replace_from_json(AppConfig(), payload, f"config {path}")
 
 
 def _config_from(args) -> AppConfig:
+    """The config file's settings, with the flags given on top."""
     cfg = load_app_config(args.config) if getattr(args, "config", None) else AppConfig()
-    if getattr(args, "t", None) is not None:
-        cfg = replace(cfg, t=args.t)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    hp = cfg.hyperparams
-    for name in ("n_trees", "max_depth", "min_samples_leaf", "balance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            hp = replace(hp, **{name: value})
-    return replace(cfg, hyperparams=hp)
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    hp = {f.name: given[f.name] for f in fields(Hyperparams) if f.name in given}
+    flags = {key: given[key] for key in ("t", "seed") if key in given}
+    return replace_from_json(cfg, {**flags, "hyperparams": hp}, "flags")
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -166,12 +105,14 @@ def _trace_files(directory: str | Path) -> list[Path]:
 
 
 def _annotated_items(directory: str | Path):
-    items = []
+    """Every ``(scene, annotation)`` under ``directory``, and the recorded
+    causes as ``{(scene id, actor, frame): cause id}``."""
+    items, causes = [], {}
     for path in _trace_files(directory):
-        scene, annotations, _ = _read_trace(path)
-        for annotation in annotations:
-            items.append((scene, annotation))
-    return items
+        scene, annotations, records = _read_trace(path)
+        items.extend((scene, annotation) for annotation in annotations)
+        causes.update(((c.scene_id, c.actor_id, c.frame_index), c.cause_id) for c in records)
+    return items, causes
 
 
 def _emit(payload: bytes, out: str | None) -> None:
@@ -248,7 +189,7 @@ def cmd_train(args) -> int:
     from .explainer import build_dataset, model_to_json, train
 
     cfg = _config_from(args)
-    items = _annotated_items(args.traces)
+    items, _ = _annotated_items(args.traces)
     dataset = build_dataset(items, t=cfg.t, cfg=cfg.calculi)
     for warning in dataset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -269,6 +210,8 @@ def cmd_explain(args) -> int:
     scene, _, _ = _read_trace(args.trace)
     if not any(frame.get(args.actor) for frame in scene.frames):
         raise ValueError(f"unknown actor {args.actor!r} in {scene.scene_id}")
+    if scene.frame_at(args.frame) is None:
+        raise ValueError(f"frame {args.frame} is not in {scene.scene_id}")
     # feed only what a live system would have seen by the queried frame
     builder = Builder(scene.scene_id, model.cfg)
     for frame in scene.frames:
@@ -293,14 +236,16 @@ def cmd_eval(args) -> int:
     from .explainer import build_dataset, evaluate, load_model
 
     model = load_model(args.model)
-    items = _annotated_items(args.traces)
+    items, causes = _annotated_items(args.traces)
     if args.split != "all":
         from .synthgen import split_scenes
 
         train_items, test_items = split_scenes(items, args.train_fraction)
         items = train_items if args.split == "train" else test_items
+    keys = ((scene.scene_id, a.actor_id, a.frame_index) for scene, a in items)
+    causes = {key: causes[key] for key in keys if key in causes}
     dataset = build_dataset(items, t=model.spec.t, cfg=model.cfg)
-    report = evaluate(model, dataset, threshold=args.threshold)
+    report = evaluate(model, dataset, threshold=args.threshold, causes=causes or None)
 
     rows = [(a, m.precision, m.recall, m.support) for a, m in sorted(report.per_action.items())]
     rows.append(("macro average", report.macro_precision, report.macro_recall, report.n_rows))
@@ -308,6 +253,8 @@ def cmd_eval(args) -> int:
     print(f"{'action':<{width}}  precision  recall  support")
     for name, precision, recall, support in rows:
         print(f"{name:<{width}}  {precision:>9.3f}  {recall:>6.3f}  {support:>7d}")
+    if report.cause_recovery is not None:
+        print("top-1 cause recovery: {}/{}".format(*report.cause_recovery))
 
     if args.out:
         payload = {
@@ -326,6 +273,9 @@ def cmd_eval(args) -> int:
             "macro_recall": report.macro_recall,
             "n_rows": report.n_rows,
         }
+        if report.cause_recovery is not None:
+            hits, total = report.cause_recovery
+            payload["top1_cause_recovery"] = {"hits": hits, "total": total}
         blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n"
         _atomic_write(Path(args.out), blob)
     return 0
@@ -356,6 +306,13 @@ def _crowd_size(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 objects, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
@@ -409,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actor", required=True)
     p.add_argument("--action", required=True)
     p.add_argument("--top-k", type=_positive_int, dest="top_k")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite_float)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_explain)
 
@@ -418,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
     p.add_argument("--train-fraction", type=float, default=0.7, dest="train_fraction")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 

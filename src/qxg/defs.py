@@ -4,12 +4,15 @@
 errors with these, so they live here, free of numpy: ``qxg build`` then
 loads no numpy at all.  :mod:`qxg.synthgen` re-exports the scenario kinds
 and :mod:`qxg.explainer` the forest hyperparameters and ``UnknownAction``;
-they are the same objects under either name.
+they are the same objects under either name.  :func:`replace_from_json` is
+the one decoder for the settings in config files and model files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import sys
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 __all__ = [
     "STOPPING_FOR_CROSSER",
@@ -19,6 +22,7 @@ __all__ = [
     "KINDS",
     "Hyperparams",
     "UnknownAction",
+    "replace_from_json",
 ]
 
 STOPPING_FOR_CROSSER = "StoppingForCrosser"
@@ -46,3 +50,36 @@ class Hyperparams:
 
 class UnknownAction(KeyError):
     """The model was never trained on this action label."""
+
+
+def replace_from_json(base, payload, where: str, *, require_all: bool = False):
+    """``base`` with the fields named in the JSON object ``payload`` replaced.
+    A nested value object takes a JSON object, a tuple field only a JSON
+    list, and a float field an int too, as a float.  Unknown keys (and, with
+    ``require_all``, missing ones) are refused; the value objects' own checks
+    decide the rest.  Faults are ``ValueError``s that start with ``where``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(payload)}")
+    names = {f.name for f in fields(base)}
+    unknown = payload.keys() - names
+    if unknown:
+        raise ValueError(f"{where}: unknown config keys {sorted(unknown)}")
+    missing = names - payload.keys() if require_all else ()
+    if missing:
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
+    values = {}
+    for key, value in payload.items():
+        current = getattr(base, key)
+        if is_dataclass(current):
+            value = replace_from_json(current, value, f"{where}: {key}")
+        elif isinstance(current, tuple):
+            if not isinstance(value, list):
+                raise ValueError(f"{where}: {key!r} must be a JSON list, got {json.dumps(value)}")
+            value = tuple(value)
+        elif type(current) is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # an int beyond float range is left for the check to refuse
+        values[key] = value
+    try:
+        return replace(base, **values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .builder import (
     unpack_code,
 )
 from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple
-from .defs import Hyperparams, UnknownAction
-from .scene import ActionAnnotation, Scene
+from .defs import Hyperparams, UnknownAction, replace_from_json
+from .scene import NO_CAUSE, ActionAnnotation, Scene
 
 __all__ = [
     "EncodingSpec",
@@ -597,6 +597,12 @@ class Explanation:
     candidates: tuple[Candidate, ...]
 
 
+def _check_threshold(threshold: float | None) -> None:
+    # every comparison with NaN is false, so it would silently select nothing
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
+
+
 def _decision_path(model: Model, tree: Tree, vector: np.ndarray) -> tuple[PathStep, ...]:
     """Spell out the tests along the tree's root-to-leaf walk for this vector."""
     steps = []
@@ -629,6 +635,7 @@ def explain(
     """
     if action not in model.forests:
         raise UnknownAction(action)
+    _check_threshold(threshold)
     trees = model.forests[action]
     samples = extract_features(graph, actor, at_frame, model.spec)
     # the reshape keeps the width when no object shares the window
@@ -703,12 +710,22 @@ class EvalReport:
     macro_precision: float
     macro_recall: float
     n_rows: int
+    cause_recovery: tuple[int, int] | None = None  # (hits, annotations with a cause)
 
 
-def evaluate(model: Model, dataset: Dataset, threshold: float = 0.5) -> EvalReport:
+def evaluate(
+    model: Model,
+    dataset: Dataset,
+    threshold: float = 0.5,
+    causes: Mapping[tuple[str, str, int], str] | None = None,
+) -> EvalReport:
     """Pair-vector precision and recall per action, one-vs-all at the given
     score threshold (a row counts as predicted-positive at score >=
-    threshold).  Zero denominators score 0.0."""
+    threshold).  Zero denominators score 0.0.
+
+    ``causes`` maps ``(scene id, actor, frame)`` of an annotation to its
+    recorded cause; given it, the report also counts top-1 cause recovery."""
+    _check_threshold(threshold)
     if len(dataset) == 0:
         raise EmptyTestSet("cannot evaluate on an empty dataset")
     if dataset.spec != model.spec:
@@ -729,7 +746,24 @@ def evaluate(model: Model, dataset: Dataset, threshold: float = 0.5) -> EvalRepo
         per_action[action] = ActionMetrics(precision, recall, tp, fp, fn, int(actual.sum()))
     macro_p = sum(m.precision for m in per_action.values()) / len(per_action)
     macro_r = sum(m.recall for m in per_action.values()) / len(per_action)
-    return EvalReport(per_action, macro_p, macro_r, len(dataset))
+    recovery = None if causes is None else _cause_recovery(dataset, scores, causes)
+    return EvalReport(per_action, macro_p, macro_r, len(dataset), recovery)
+
+
+def _cause_recovery(dataset: Dataset, scores: dict, causes: Mapping) -> tuple[int, int]:
+    """Of the annotations whose cause is an object, how many have it as the
+    top row under their own action's forest, ranked as :func:`explain`
+    ranks: highest score, then lowest object id."""
+    best = {}
+    for i, (key, label) in enumerate(zip(dataset.keys, dataset.labels)):
+        if label in scores:
+            annotation = (key.scene_id, key.actor, key.frame)
+            rank = (-scores[label][i], key.other)
+            if annotation not in best or rank < best[annotation]:
+                best[annotation] = rank
+    caused = [(annotation, cause) for annotation, cause in causes.items() if cause != NO_CAUSE]
+    hits = sum(annotation in best and best[annotation][1] == cause for annotation, cause in caused)
+    return hits, len(caused)
 
 
 # -- persistence --------------------------------------------------------------
@@ -788,21 +822,12 @@ def model_to_json(model: Model) -> bytes:
         "version": MODEL_VERSION,
         "seed": model.seed,
         "t": model.spec.t,
-        "calculi": {
-            "qdc_band_edges": list(model.cfg.qdc_band_edges),
-            "qdc_band_names": list(model.cfg.qdc_band_names),
-            "qtc_epsilon": model.cfg.qtc_epsilon,
-        },
+        "calculi": asdict(model.cfg),
         "encoding": {
             "slot_width": model.spec.slot_width,
             "feature_len": model.spec.feature_len,
         },
-        "hyperparams": {
-            "n_trees": model.hyperparams.n_trees,
-            "max_depth": model.hyperparams.max_depth,
-            "min_samples_leaf": model.hyperparams.min_samples_leaf,
-            "balance": model.hyperparams.balance,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "actions": {
             action: {"trees": [{"nodes": _tree_to_nodes(t)} for t in model.forests[action]]}
             for action in model.actions
@@ -824,17 +849,9 @@ def model_from_json(data: bytes | str) -> Model:
     if version != MODEL_VERSION:
         raise VersionMismatch(f"model version {version!r}, this build reads {MODEL_VERSION}")
     try:
-        calculi = payload["calculi"]
-        cfg = CalculiConfig(
-            tuple(calculi["qdc_band_edges"]),
-            tuple(calculi["qdc_band_names"]),
-            calculi["qtc_epsilon"],
-        )
+        cfg = replace_from_json(DEFAULT_CONFIG, payload["calculi"], "calculi", require_all=True)
         spec = EncodingSpec(payload["t"], cfg.qdc_band_names)
-        hp_raw = payload["hyperparams"]
-        hp = Hyperparams(
-            hp_raw["n_trees"], hp_raw["max_depth"], hp_raw["min_samples_leaf"], hp_raw["balance"]
-        )
+        hp = replace_from_json(Hyperparams(), payload["hyperparams"], "hyperparams", require_all=True)
         if payload["encoding"]["feature_len"] != spec.feature_len:
             raise CorruptModel(
                 f"stored feature_len {payload['encoding']['feature_len']} does not match "

@@ -187,7 +187,9 @@ def _iter_lines(data: TraceInput) -> Iterable[str]:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
+            # count the breaks the split below makes: \n, \r\n and a lone \r
+            head = data[: exc.start]
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
     if isinstance(data, str):
         # split as a text file does, at \n, \r\n or a lone \r: JSON strings

@@ -277,15 +277,6 @@ class TestPartners:
         assert graph.partners("ghost") == []
 
 
-class TestPruning:
-    def test_distant_pairs_skipped(self):
-        scene = Scene("s", (_frame(0, _state("a", 0, 0), _state("b", 4, 0), _state("c", 80, 0)),))
-        graph = build(scene, max_pair_distance=30.0)
-        assert set(graph.edges) == {("a", "b")}
-        # nodes are still registered even when all their pairs are pruned
-        assert "c" in graph.node_classes
-
-
 class TestSerialization:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_json_round_trip(self, seed):

@@ -299,6 +299,23 @@ class TestExplain:
         )
         assert result.returncode == 1 and "unknown actor" in result.stderr
 
+    @pytest.mark.parametrize("frame", ["-5", "999"])
+    def test_frame_outside_the_trace(self, corpus, manifest, model_file, frame):
+        entry = _entry(manifest, "StoppingForCrosser")
+        result = run_cli(
+            "explain", "--trace", str(corpus / entry["file"]), "--model", str(model_file),
+            "--frame", frame, "--actor", entry["actor"], "--action", entry["action"],
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"error: explain: frame {frame} is not in {entry['scene_id']}\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, corpus, manifest, model_file, threshold):
+        result, _ = self._explain(
+            corpus, manifest, model_file, "StoppingForCrosser", f"--threshold={threshold}"
+        )
+        assert result.returncode == 2 and "must be a finite number" in result.stderr
+
     def test_unknown_action(self, corpus, manifest, model_file):
         result, _ = self._explain(corpus, manifest, model_file, "StoppingForCrosser")
         entry = _entry(manifest, "StoppingForCrosser")
@@ -332,8 +349,15 @@ class TestExplain:
             ("calculi", "qdc_band_names", [0, 1, 2, 3, 4]),
             ("calculi", "qdc_band_names", ["a", "a", "b", "c", "d"]),
             (None, "t", 5.0),
+            ("calculi", "qdc_band_names", "abcde"),
+            ("calculi", "qdc_band_edges", "1,5,15,50"),
+            ("calculi", "qdc_band_count", 5),
+            ("hyperparams", "max_features", 3),
         ],
-        ids=["nan-edge", "bool-edge", "nan-epsilon", "int-names", "repeated-names", "float-t"],
+        ids=[
+            "nan-edge", "bool-edge", "nan-epsilon", "int-names", "repeated-names", "float-t",
+            "str-names", "str-edges", "unknown-calculi-key", "unknown-hyperparams-key",
+        ],
     )
     def test_mistyped_model_config_is_runtime_error(
         self, corpus, manifest, model_file, tmp_path, section, key, value
@@ -357,13 +381,33 @@ class TestEval:
     def test_table_shape(self, corpus, model_file):
         result = run_cli("eval", "--traces", str(corpus), "--model", str(model_file))
         assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert lines[0].split() == ["action", "precision", "recall", "support"]
-        names = [l.split()[0] for l in lines[1:]]
+        *table, recovery = result.stdout.splitlines()
+        assert table[0].split() == ["action", "precision", "recall", "support"]
+        names = [l.split()[0] for l in table[1:]]
         assert names == ["Accelerating", "Cruising", "Stopping", "macro"]
-        assert lines[-1].startswith("macro average")
+        assert table[-1].startswith("macro average")
+        assert recovery.startswith("top-1 cause recovery: ")
 
-    def test_json_report(self, corpus, model_file, tmp_path):
+    def test_no_recovery_without_cause_records(self, corpus, model_file, tmp_path):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for path in sorted(corpus.glob("*.jsonl"))[:8]:
+            scene, annotations, _ = load_trace(path.read_bytes())
+            (bare / path.name).write_bytes(serialize_scene(scene, annotations, []))
+        out = tmp_path / "metrics.json"
+        result = run_cli("eval", "--traces", str(bare), "--model", str(model_file), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "recovery" not in result.stdout
+        assert "top1_cause_recovery" not in json.loads(out.read_text())
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, corpus, model_file, threshold):
+        result = run_cli(
+            "eval", "--traces", str(corpus), "--model", str(model_file), f"--threshold={threshold}"
+        )
+        assert result.returncode == 2 and "must be a finite number" in result.stderr
+
+    def test_json_report(self, corpus, manifest, model_file, tmp_path):
         out = tmp_path / "metrics.json"
         result = run_cli(
             "eval", "--traces", str(corpus), "--model", str(model_file), "--out", str(out)
@@ -372,6 +416,11 @@ class TestEval:
         payload = json.loads(out.read_text())
         assert set(payload["per_action"]) == {"Accelerating", "Cruising", "Stopping"}
         assert payload["n_rows"] > 0
+        recovery = payload["top1_cause_recovery"]
+        # every generated scene records its cause; "none" ones are not counted
+        assert recovery["total"] == sum(e["cause"] != "none" for e in manifest["scenes"])
+        assert 0 < recovery["hits"] <= recovery["total"]
+        assert result.stdout.endswith(f"top-1 cause recovery: {recovery['hits']}/{recovery['total']}\n")
 
     def test_split_subsets(self, corpus, model_file, tmp_path):
         full = tmp_path / "full.json"

@@ -558,6 +558,13 @@ class TestExplain:
             assert tree.count[node] == candidate.leaf_count
         assert ties, "expected a tie to exercise the lowest-index rule"
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, mini_model, threshold):
+        model, _ = mini_model
+        scene, ann = _mini_scene(996, "Chase")
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", threshold=threshold)
+
     def test_unknown_action(self, mini_model):
         model, _ = mini_model
         scene, _ = _mini_scene(996, "Idle")
@@ -602,6 +609,35 @@ class TestEvaluate:
         report = evaluate(model, test_set, threshold=1.1)
         assert report.per_action["Chase"].precision == 0.0
         assert report.per_action["Chase"].recall == 0.0
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, mini_model, threshold):
+        model, _ = mini_model
+        test_set = build_dataset([_mini_scene(201, "Chase")], t=4)
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            evaluate(model, test_set, threshold=threshold)
+
+    def test_cause_recovery_matches_explain(self):
+        train_items, test_items = generate_corpus(8, 6, master_seed=11)
+        model = train(
+            build_dataset([(s, a) for s, a, _ in train_items]),
+            seed=11,
+            hyperparams=Hyperparams(n_trees=12, max_depth=6, min_samples_leaf=2),
+        )
+        test_set = build_dataset([(s, a) for s, a, _ in test_items])
+        truth, top = {}, {}
+        for scene, annotation, planted in test_items:
+            key = (scene.scene_id, annotation.actor_id, annotation.frame_index)
+            truth[key] = planted.cause_id
+            result = explain(model, build(scene), *key[1:], annotation.action)
+            top[key] = result.candidates[0].other if result.candidates else "no candidate"
+        caused = [key for key, cause in truth.items() if cause != "none"]
+        hits = sum(top[key] == truth[key] for key in caused)
+        assert 0 < hits < len(caused)
+        assert evaluate(model, test_set, causes=truth).cause_recovery == (hits, len(caused))
+        # naming explain's own top pick as the cause recovers every annotation
+        assert evaluate(model, test_set, causes=top).cause_recovery == (len(top), len(top))
+        assert evaluate(model, test_set).cause_recovery is None
 
     def test_empty_test_set(self, mini_model):
         model, _ = mini_model
@@ -716,10 +752,22 @@ class TestPersistence:
             {"hyperparams.balance": 1},
             {"seed": 7.0},
             {"seed": True},
+            {"calculi.qdc_band_names": "abcde"},
+            # "" would pass as an empty tuple of edges, with the rest made to fit one band
+            {
+                "calculi.qdc_band_edges": "",
+                "calculi.qdc_band_names": ["all"],
+                "t": 1,
+                "encoding.feature_len": EncodingSpec(1, ("all",)).feature_len,
+                "actions": {"Chase": {"trees": [{"nodes": [{"fraction": 0.5, "count": 2}]}]}},
+            },
+            {"calculi.qdc_band_count": 5},
+            {"hyperparams.max_features": 3},
         ],
         ids=[
             "nan-edge", "inf-edge", "bool-edge", "nan-epsilon", "int-names", "repeated-names",
             "float-t", "bool-n-trees", "float-depth", "int-balance", "float-seed", "bool-seed",
+            "str-names", "str-edges", "unknown-calculi-key", "unknown-hyperparams-key",
         ],
     )
     def test_mistyped_config_fields(self, mini_model, changes):
@@ -733,6 +781,24 @@ class TestPersistence:
             target[key] = value
         with pytest.raises(CorruptModel):
             model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("calculi", "qdc_band_edges"), ("calculi", "qtc_epsilon"), ("hyperparams", "balance")],
+    )
+    def test_missing_config_field(self, mini_model, section, key):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        del payload[section][key]
+        with pytest.raises(CorruptModel, match="missing keys"):
+            model_from_json(json.dumps(payload))
+
+    def test_integer_epsilon_loads_as_float(self, mini_model):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        payload["calculi"]["qtc_epsilon"] = 0
+        loaded = model_from_json(json.dumps(payload))
+        assert type(loaded.cfg.qtc_epsilon) is float and loaded.cfg.qtc_epsilon == 0.0
 
     def test_feature_len_consistency_checked(self, mini_model):
         model, _ = mini_model

@@ -133,6 +133,15 @@ class TestMalformedLines:
         with pytest.raises(MalformedLine, match="line 3"):
             load_trace(_trace(HEADER, _frame_line(0, 0.0, []), "oops"))
 
+    @pytest.mark.parametrize("seps", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\r\n", "\r")])
+    def test_invalid_utf8_line_number_counts_every_line_break(self, seps):
+        # the bad byte opens line 3 whichever breaks end lines 1 and 2
+        head = HEADER + seps[0] + _frame_line(0, 0.0, [_obj("ego")]) + seps[1]
+        blob = head.encode() + b"\xfb" + _frame_line(1, 0.5, [_obj("ego")]).encode() + b"\n"
+        with pytest.raises(MalformedLine, match="not valid UTF-8") as err:
+            load_trace(blob)
+        assert err.value.line_no == 3
+
 
 class TestSchemaViolations:
     def test_missing_header(self):
