@@ -23,9 +23,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from .builder import (
     ALLEN_LABELS,
@@ -40,6 +38,12 @@ from .builder import (
 from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple
 from .defs import Hyperparams, UnknownAction, replace_from_json
 from .scene import NO_CAUSE, ActionAnnotation, Scene
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Explaining runs on plain tuples; numpy loads inside the functions that
+# train, densify or score whole matrices, so ``qxg explain`` starts without it.
 
 __all__ = [
     "EncodingSpec",
@@ -158,35 +162,48 @@ class EncodingSpec:
         ]
         return self.encode_codes([codes], at_frame)[0]
 
+    def hot_bits(self, chain: Sequence[tuple[int, int]], at_frame: int) -> tuple[int, ...]:
+        """The set feature indices of one chain of ``(frame, code)`` pairs
+        (as produced by ``QXG.window_chains``), ascending: per filled slot
+        one bit in each block, per empty slot its missing flag."""
+        last = self.t - 1  # the annotation frame's slot
+        blocks, width, n_bands = self.blocks, self.slot_width, len(self.band_names)
+        bits = set()
+        filled = set()
+        for frame, code in chain:
+            slot = last - (at_frame - frame)
+            if 0 <= slot <= last:
+                filled.add(slot)
+                offset = slot * width
+                for (_, labels), component in zip(blocks, unpack_code(code, n_bands)):
+                    bits.add(offset + component)
+                    offset += len(labels)
+        bits.update((slot + 1) * width - 1 for slot in range(self.t) if slot not in filled)
+        return tuple(sorted(bits))
+
+    def densify(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """A 0/1 float matrix with one row per tuple of hot bits."""
+        import numpy as np
+
+        width = self.feature_len
+        X = np.zeros((len(rows), width), dtype=np.float64)
+        np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], 1.0)
+        return X
+
     def encode_codes(
         self, chains: Sequence[Sequence[tuple[int, int]]], at_frame: int
     ) -> np.ndarray:
-        """One row per chain of ``(frame, code)`` pairs (as produced by
-        ``QXG.window_chains``), laid out as :meth:`encode` describes."""
-        last = self.t - 1  # the annotation frame's slot
-        hits = [
-            (row, last - (at_frame - frame), code)
-            for row, chain in enumerate(chains)
-            for frame, code in chain
-            if 0 <= at_frame - frame <= last
-        ]
-        X = np.zeros((len(chains), self.t, self.slot_width), dtype=np.float64)
-        X[:, :, -1] = 1.0
-        if hits:
-            rows, slots, codes = np.array(hits).T
-            offset = 0
-            for (_, labels), component in zip(self.blocks, unpack_code(codes, len(self.band_names))):
-                X[rows, slots, offset + component] = 1.0
-                offset += len(labels)
-            X[rows, slots, -1] = 0.0
-        return X.reshape(len(chains), self.feature_len)
+        """One row per chain of ``(frame, code)`` pairs, laid out as
+        :meth:`hot_bits` describes."""
+        return self.densify([self.hot_bits(chain, at_frame) for chain in chains])
 
     def describe_feature(self, index: int) -> str:
         """Human name of one feature, e.g. ``frame-2 x=Before`` (two frames
         before the annotation, x intervals related by Before)."""
-        if not 0 <= index < self.feature_len:
-            raise IndexError(f"feature index {index} out of range 0..{self.feature_len - 1}")
-        slot, within = divmod(index, self.slot_width)
+        width = self.slot_width
+        if not 0 <= index < self.t * width:
+            raise IndexError(f"feature index {index} out of range 0..{self.t * width - 1}")
+        slot, within = divmod(index, width)
         frame = f"frame{slot - (self.t - 1):+d}"
         for name, labels in self.blocks:
             if within < len(labels):
@@ -214,25 +231,20 @@ class EncodingSpec:
 
 @dataclass(frozen=True)
 class PairSample:
-    """One encoded actor/other chain at one frame, with the window's
-    ``(frame, code)`` pairs it encodes."""
+    """One encoded actor/other chain at one frame: the window's ``(frame,
+    code)`` pairs and the feature bits they set under ``spec``."""
 
     actor: str
     other: str
     frame: int
-    vector: np.ndarray
+    bits: tuple[int, ...]
     chain: list[tuple[int, int]]
+    spec: EncodingSpec
 
-    def __eq__(self, other_obj: object) -> bool:  # ndarray needs help
-        if not isinstance(other_obj, PairSample):
-            return NotImplemented
-        return (
-            self.actor == other_obj.actor
-            and self.other == other_obj.other
-            and self.frame == other_obj.frame
-            and np.array_equal(self.vector, other_obj.vector)
-            and self.chain == other_obj.chain
-        )
+    @property
+    def vector(self) -> np.ndarray:
+        """The dense encoding, built on each access."""
+        return self.spec.densify([self.bits])[0]
 
 
 def extract_features(
@@ -245,9 +257,10 @@ def extract_features(
         raise ValueError(
             f"graph bands {graph.band_names!r} do not match encoding bands {spec.band_names!r}"
         )
-    pairs = graph.window_chains(actor, at_frame, spec.t)
-    X = spec.encode_codes([chain for _, chain in pairs], at_frame)
-    return [PairSample(actor, other, at_frame, row, chain) for (other, chain), row in zip(pairs, X)]
+    return [
+        PairSample(actor, other, at_frame, spec.hot_bits(chain, at_frame), chain, spec)
+        for other, chain in graph.window_chains(actor, at_frame, spec.t)
+    ]
 
 
 # -- datasets -----------------------------------------------------------------
@@ -285,7 +298,7 @@ def build_dataset(
     labelled with that annotation's action.  Annotations with no extractable
     pair are recorded as warnings rather than silently dropped."""
     spec = EncodingSpec(t, cfg.qdc_band_names)
-    vectors: list[np.ndarray] = []
+    rows: list[tuple[int, ...]] = []
     labels: list[str] = []
     keys: list[RowKey] = []
     warnings: list[str] = []
@@ -299,39 +312,26 @@ def build_dataset(
             )
             continue
         for sample in samples:
-            vectors.append(sample.vector)
+            rows.append(sample.bits)
             labels.append(annotation.action)
             keys.append(RowKey(scene.scene_id, sample.actor, sample.other, sample.frame))
-    X = (
-        np.stack(vectors)
-        if vectors
-        else np.zeros((0, spec.feature_len), dtype=np.float64)
-    )
-    return Dataset(X, labels, keys, spec, cfg, warnings)
+    return Dataset(spec.densify(rows), labels, keys, spec, cfg, warnings)
 
 
 # -- forests ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree:
-    """Flat array form: ``feature[i] < 0`` marks node i as a leaf carrying
+    """Flat tuple form: ``feature[i] < 0`` marks node i as a leaf carrying
     ``fraction``/``count``; otherwise ``left``/``right`` index the children
-    for vector[feature] == 0 / == 1."""
+    for a test bit that is 0 / 1."""
 
-    feature: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    fraction: np.ndarray
-    count: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("feature", "left", "right", "fraction", "count")
-        )
+    feature: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    fraction: tuple[float, ...]
+    count: tuple[int, ...]
 
 
 def _gini(pos: int, n: int) -> float:
@@ -340,6 +340,8 @@ def _gini(pos: int, n: int) -> float:
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
+    import numpy as np
+
     n_features = X.shape[1]
     subset_size = math.ceil(math.sqrt(n_features))
     feature: list[int] = []
@@ -394,31 +396,26 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
         return node
 
     grow(rows, 0)
-    return Tree(
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(fraction, dtype=np.float64),
-        np.asarray(count, dtype=np.int32),
-    )
+    return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
 
 
 @dataclass(frozen=True)
 class _PackedForest:
-    """One action's trees as a single node array.  ``children[2 * i]`` and
-    ``children[2 * i + 1]`` are node i's left and right child, offset by
-    their tree's root; leaves link to themselves, so a walk that reached a
-    leaf stays there while deeper walks go on."""
+    """One action's trees as a single node array, for scoring a matrix.
+    ``children[2 * i]`` and ``children[2 * i + 1]`` are node i's left and
+    right child, offset by their tree's root; leaves link to themselves, so
+    a walk that reached a leaf stays there while deeper walks go on."""
 
     roots: np.ndarray
     feature: np.ndarray
     children: np.ndarray
     fraction: np.ndarray
-    count: np.ndarray
 
     @classmethod
-    def pack(cls, trees: list[Tree]) -> "_PackedForest":
-        sizes = np.array([tree.feature.size for tree in trees])
+    def pack(cls, trees: Sequence[Tree]) -> "_PackedForest":
+        import numpy as np
+
+        sizes = np.array([len(tree.feature) for tree in trees])
         roots = np.cumsum(sizes) - sizes
         shift = np.repeat(roots, sizes)
         feature = np.concatenate([tree.feature for tree in trees])
@@ -430,19 +427,18 @@ class _PackedForest:
             feature,
             np.stack([left, right], axis=1).ravel(),
             np.concatenate([tree.fraction for tree in trees]),
-            np.concatenate([tree.count for tree in trees]),
         )
 
 
-def _forest_scores(
-    forest: _PackedForest, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forest_scores(forest: _PackedForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk every row of ``X`` down every tree at once, one level per step.
 
     Returns the forest score per row, and per row and tree the packed id of
-    the leaf reached and that leaf's fraction.  The fractions are summed in
-    tree order (a running ``cumsum``): a pairwise ``sum`` or ``mean``
-    differs in the last bits and would change explanation JSON."""
+    the leaf reached.  The fractions are summed in tree order (a running
+    ``cumsum``), as :func:`_walk_forest` sums them: a pairwise ``sum`` or
+    ``mean`` differs in the last bits and would change explanation JSON."""
+    import numpy as np
+
     hot = (X > 0.5).ravel()
     row_start = np.arange(X.shape[0])[:, None] * X.shape[1]
     node = np.tile(forest.roots, (X.shape[0], 1))
@@ -451,25 +447,47 @@ def _forest_scores(
         # a leaf (f == -1) reads some other bit, but both its links are itself
         node = forest.children[2 * node + hot[row_start + f]]
         f = forest.feature[node]
-    fracs = forest.fraction[node]
-    scores = np.cumsum(fracs, axis=1)[:, -1] / forest.roots.size
-    return scores, node, fracs
+    scores = np.cumsum(forest.fraction[node], axis=1)[:, -1] / forest.roots.size
+    return scores, node
+
+
+def _walk_forest(
+    trees: Sequence[Tree], hot: AbstractSet[int]
+) -> tuple[float, int, int, list[int]]:
+    """Walk one row, given as its set of hot feature bits, down each tree.
+
+    Returns the forest score; the first tree whose leaf has the highest
+    fraction; that leaf; and the split nodes passed on the way to it, root
+    first.  The leaf fractions are added one by one in tree order, as
+    ``_forest_scores`` adds them; ``sum()`` may compensate rounding and
+    differ in the last bits.  Only the chosen tree's path is recorded, by
+    walking it once more: keeping every tree's path made the walk about 1.6
+    times as slow."""
+    total, best, best_tree = 0.0, -1.0, 0
+    for j, tree in enumerate(trees):
+        feature, left, right = tree.feature, tree.left, tree.right
+        node = 0
+        while (f := feature[node]) >= 0:
+            node = right[node] if f in hot else left[node]
+        total += tree.fraction[node]
+        if tree.fraction[node] > best:  # the first tree on ties
+            best, best_tree = tree.fraction[node], j
+    tree, node, path = trees[best_tree], 0, []
+    while (f := tree.feature[node]) >= 0:
+        path.append(node)
+        node = tree.right[node] if f in hot else tree.left[node]
+    return total / len(trees), best_tree, node, path
 
 
 @dataclass
 class Model:
-    """Trained forests, one per action.  Each forest is packed for scoring
-    when the model is built, so the trees must not change afterwards."""
+    """Trained forests, one per action."""
 
     seed: int
     spec: EncodingSpec
     cfg: CalculiConfig
     hyperparams: Hyperparams
     forests: dict[str, list[Tree]]
-    packed: dict[str, _PackedForest] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.packed = {action: _PackedForest.pack(trees) for action, trees in self.forests.items()}
 
     @property
     def actions(self) -> list[str]:
@@ -490,6 +508,8 @@ def train(
     per-tree spawns of the master seed, in sorted action order, so results
     do not depend on dict ordering or on training actions one at a time.
     """
+    import numpy as np
+
     n = len(dataset)
     if n == 0:
         raise InsufficientData("dataset has no rows")
@@ -538,32 +558,35 @@ def train(
     return Model(seed, dataset.spec, dataset.cfg, hyperparams, forests)
 
 
-def _check_vector(model: Model, vector: np.ndarray) -> np.ndarray:
+def score(model: Model, action: str, vector: np.ndarray) -> float:
+    """Mean positive leaf fraction across the action's trees."""
+    import numpy as np
+
+    if action not in model.forests:
+        raise UnknownAction(action)
     vector = np.asarray(vector, dtype=np.float64)
     if vector.ndim != 1 or vector.shape[0] != model.spec.feature_len:
         raise LengthMismatch(
             f"model expects vectors of length {model.spec.feature_len}, "
             f"got shape {vector.shape}"
         )
-    return vector
-
-
-def score(model: Model, action: str, vector: np.ndarray) -> float:
-    """Mean positive leaf fraction across the action's trees."""
-    if action not in model.forests:
-        raise UnknownAction(action)
-    vector = _check_vector(model, vector)
-    return _forest_scores(model.packed[action], vector[None, :])[0][0]
+    hot = set(np.flatnonzero(vector > 0.5).tolist())
+    return _walk_forest(model.forests[action], hot)[0]
 
 
 def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
     """Score a whole matrix against every action's forest at once."""
+    import numpy as np
+
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.feature_len:
         raise LengthMismatch(
             f"model expects (n, {model.spec.feature_len}) matrices, got shape {X.shape}"
         )
-    return {action: _forest_scores(model.packed[action], X)[0] for action in model.actions}
+    return {
+        action: _forest_scores(_PackedForest.pack(model.forests[action]), X)[0]
+        for action in model.actions
+    }
 
 
 # -- explanations -------------------------------------------------------------
@@ -603,18 +626,6 @@ def _check_threshold(threshold: float | None) -> None:
         raise ValueError(f"threshold must be a finite number, got {threshold}")
 
 
-def _decision_path(model: Model, tree: Tree, vector: np.ndarray) -> tuple[PathStep, ...]:
-    """Spell out the tests along the tree's root-to-leaf walk for this vector."""
-    steps = []
-    node = 0
-    while tree.feature[node] >= 0:
-        f = int(tree.feature[node])
-        value = 1 if vector[f] > 0.5 else 0
-        steps.append(PathStep(f, model.spec.describe_feature(f), value))
-        node = tree.right[node] if value else tree.left[node]
-    return tuple(steps)
-
-
 def explain(
     model: Model,
     graph: QXG,
@@ -638,28 +649,29 @@ def explain(
     _check_threshold(threshold)
     trees = model.forests[action]
     samples = extract_features(graph, actor, at_frame, model.spec)
-    # the reshape keeps the width when no object shares the window
-    X = np.array([s.vector for s in samples]).reshape(len(samples), model.spec.feature_len)
-    forest = model.packed[action]
-    scores, leaves, fracs = _forest_scores(forest, X)
-    order = sorted(range(len(samples)), key=lambda i: (-scores[i], samples[i].other))
+    walked = [_walk_forest(trees, frozenset(s.bits)) for s in samples]
+    order = sorted(range(len(samples)), key=lambda i: (-walked[i][0], samples[i].other))
     if threshold is not None:
-        order = [i for i in order if scores[i] >= threshold]
+        order = [i for i in order if walked[i][0] >= threshold]
     if k is not None:
         order = order[:k]
     candidates = []
     for i in order:
         sample = samples[i]
-        best_tree = int(np.argmax(fracs[i]))  # the first tree on ties
+        forest_score, best_tree, leaf, path = walked[i]
+        tree = trees[best_tree]
         candidates.append(
             Candidate(
                 sample.other,
                 graph.node_classes.get(sample.other, "unknown"),
-                scores[i],
+                forest_score,
                 best_tree,
-                float(fracs[i, best_tree]),
-                int(forest.count[leaves[i, best_tree]]),
-                _decision_path(model, trees[best_tree], sample.vector),
+                tree.fraction[leaf],
+                tree.count[leaf],
+                tuple(
+                    PathStep(f, model.spec.describe_feature(f), int(f in sample.bits))
+                    for f in (tree.feature[node] for node in path)
+                ),
                 tuple((f, graph.decode(code)) for f, code in sample.chain),
             )
         )
@@ -725,6 +737,8 @@ def evaluate(
 
     ``causes`` maps ``(scene id, actor, frame)`` of an annotation to its
     recorded cause; given it, the report also counts top-1 cause recovery."""
+    import numpy as np
+
     _check_threshold(threshold)
     if len(dataset) == 0:
         raise EmptyTestSet("cannot evaluate on an empty dataset")
@@ -770,30 +784,33 @@ def _cause_recovery(dataset: Dataset, scores: dict, causes: Mapping) -> tuple[in
 
 
 def _tree_to_nodes(tree: Tree) -> list[dict]:
-    nodes = []
-    for i in range(len(tree.feature)):
-        if tree.feature[i] < 0:
-            nodes.append({"fraction": float(tree.fraction[i]), "count": int(tree.count[i])})
-        else:
-            nodes.append(
-                {"feature": int(tree.feature[i]), "left": int(tree.left[i]), "right": int(tree.right[i])}
-            )
-    return nodes
+    return [
+        {"feature": f, "left": left, "right": right}
+        if f >= 0
+        else {"fraction": fraction, "count": count}
+        for f, left, right, fraction, count in zip(
+            tree.feature, tree.left, tree.right, tree.fraction, tree.count
+        )
+    ]
+
+
+# Leaf counts stay within int32, the width the model format has always held.
+_MAX_COUNT = 2**31 - 1
 
 
 def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
     """Rebuild one tree, checking what scoring relies on: integer links,
     features and counts, and real fractions; nodes in preorder (children
     after their parent, so every walk ends); features inside the encoding;
-    leaf fractions in [0, 1] with non-negative counts."""
+    leaf fractions in [0, 1] with counts in 0..2**31 - 1."""
     n = len(nodes)
     if n == 0:
         raise CorruptModel("a tree has no nodes")
-    feature = np.full(n, -1, dtype=np.int32)
-    left = np.full(n, -1, dtype=np.int32)
-    right = np.full(n, -1, dtype=np.int32)
-    fraction = np.zeros(n, dtype=np.float64)
-    count = np.zeros(n, dtype=np.int32)
+    feature = [-1] * n
+    left = [-1] * n
+    right = [-1] * n
+    fraction = [0.0] * n
+    count = [0] * n
     for i, node in enumerate(nodes):
         split = "feature" in node
         for key in ("feature", "left", "right") if split else ("count",):
@@ -810,11 +827,11 @@ def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
         else:
             if type(node["fraction"]) not in (int, float):
                 raise CorruptModel(f"leaf {i}: fraction {node['fraction']!r} is not a number")
-            if not (0.0 <= node["fraction"] <= 1.0 and node["count"] >= 0):
+            if not (0.0 <= node["fraction"] <= 1.0 and 0 <= node["count"] <= _MAX_COUNT):
                 raise CorruptModel(f"leaf {i}: fraction {node['fraction']}, count {node['count']}")
-            fraction[i] = node["fraction"]
+            fraction[i] = float(node["fraction"])
             count[i] = node["count"]
-    return Tree(feature, left, right, fraction, count)
+    return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
 
 
 def model_to_json(model: Model) -> bytes:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -120,6 +121,18 @@ class TestGen:
 
     def test_no_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize("count", ["-1", "201", "100000"])
+    def test_distractors_outside_the_bound_are_usage_errors(self, tmp_path, count):
+        out = tmp_path / "d"
+        result = run_cli("gen", "--scenes", "2", "--distractors", count, "--out", str(out), timeout=20)
+        assert result.returncode == 2
+        assert f"must be in 0..200, got {count}" in result.stderr
+        assert not out.exists()
+
+    def test_distractor_bound_is_inclusive(self, tmp_path):
+        result = run_cli("gen", "--scenes", "1", "--distractors", "200", "--out", str(tmp_path / "d"))
+        assert result.returncode == 0, result.stderr
 
 
 class TestBuild:
@@ -467,6 +480,24 @@ class TestBench:
 
     def test_too_few_objects_is_usage_error(self):
         assert run_cli("bench", "--objects", "1").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--scenes", "x"], "argument --scenes: must be an integer, got 'x'"),
+        (["train", "--traces", "t", "--t", "2.5"], "argument --t: must be an integer, got '2.5'"),
+        (["bench", "--objects", "many"], "argument --objects: must be an integer, got 'many'"),
+        (["eval", "--traces", "t", "--model", "m", "--threshold", "abc"],
+         "argument --threshold: must be a number, got 'abc'"),
+    ],
+    ids=["positive-int", "positive-int-float", "crowd-size", "finite-float"],
+)
+def test_usage_errors_name_no_private_helper(argv, message):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert not re.search(r"\b_[a-z]", result.stderr), result.stderr
 
 
 @pytest.mark.skipif(shutil.which("qxg") is None, reason="console script not on PATH")

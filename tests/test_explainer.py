@@ -33,7 +33,10 @@ from qxg.explainer import (
     Model,
     UnknownAction,
     VersionMismatch,
+    _PackedForest,
     _fit_tree,
+    _forest_scores,
+    _walk_forest,
     build_dataset,
     evaluate,
     explain,
@@ -329,6 +332,15 @@ MINI_HP = Hyperparams(n_trees=16, max_depth=6, min_samples_leaf=2)
 
 
 @pytest.fixture(scope="module")
+def corpus_model():
+    """A default-sized model over a small generated corpus, with held-out
+    scenes."""
+    train_items, test_items = generate_corpus(25, 10, master_seed=5)
+    model = train(build_dataset([(s, a) for s, a, _ in train_items]), seed=5)
+    return model, test_items
+
+
+@pytest.fixture(scope="module")
 def mini_model():
     dataset = build_dataset(_mini_corpus(), t=4)
     return train(dataset, seed=7, hyperparams=MINI_HP), dataset
@@ -409,6 +421,26 @@ class TestTraining:
             pairwise_differs += int(np.sum(fractions.mean(axis=1) != got[action]))
         assert pairwise_differs, "a pairwise mean never differs here, so the test cannot tell"
 
+    def test_sparse_walk_equals_the_batch_walk(self, corpus_model):
+        model, _ = corpus_model
+        rng = np.random.default_rng(11)
+        X = (rng.random((2000, model.spec.feature_len)) < 0.15).astype(np.float64)
+        for action in model.actions:
+            trees = model.forests[action]
+            forest = _PackedForest.pack(trees)
+            batch, leaves = _forest_scores(forest, X)
+            for i, row in enumerate(X):
+                got, best_tree, leaf, path = _walk_forest(trees, frozenset(np.flatnonzero(row).tolist()))
+                assert got == batch[i]
+                fracs = forest.fraction[leaves[i]]
+                assert best_tree == int(np.argmax(fracs))  # the first on ties
+                assert leaf == leaves[i, best_tree] - forest.roots[best_tree]
+                tree, node = trees[best_tree], 0
+                for step in path:
+                    assert step == node and tree.feature[node] >= 0
+                    node = tree.right[node] if row[tree.feature[node]] > 0.5 else tree.left[node]
+                assert node == leaf and tree.feature[leaf] < 0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(InsufficientData):
             train(build_dataset([]))
@@ -486,11 +518,40 @@ class TestTreeFitting:
         y = X[:, 2] > 0.5
         hp = Hyperparams(n_trees=1, max_depth=8, min_samples_leaf=7)
         tree = _fit_tree(X, y, np.arange(60), hp, rng)
-        leaf_counts = tree.count[tree.feature < 0]
-        assert leaf_counts.min() >= 7
+        leaf_counts = [c for f, c in zip(tree.feature, tree.count) if f < 0]
+        assert min(leaf_counts) >= 7
 
 
 class TestExplain:
+    def test_candidates_agree_with_the_batch_walk(self, corpus_model):
+        """Score, best tree, leaf and path of every candidate, against
+        ``_forest_scores`` on the candidate's dense vector."""
+        model, test_items = corpus_model
+        checked = 0
+        for scene, annotation, _ in test_items:
+            graph = build(scene)
+            actor, frame = annotation.actor_id, annotation.frame_index
+            vectors = {s.other: s.vector for s in extract_features(graph, actor, frame, model.spec)}
+            for action in model.actions:
+                trees = model.forests[action]
+                forest = _PackedForest.pack(trees)
+                for candidate in explain(model, graph, actor, frame, action).candidates:
+                    vector = vectors[candidate.other]
+                    batch, leaves = _forest_scores(forest, vector[None, :])
+                    fracs = forest.fraction[leaves[0]]
+                    assert candidate.score == batch[0]
+                    assert candidate.best_tree == int(np.argmax(fracs))  # the first on ties
+                    tree, node = trees[candidate.best_tree], 0
+                    for step in candidate.path:
+                        assert step.feature == tree.feature[node]
+                        assert step.value == int(vector[step.feature] > 0.5)
+                        node = tree.right[node] if step.value else tree.left[node]
+                    assert node == leaves[0, candidate.best_tree] - forest.roots[candidate.best_tree]
+                    assert tree.fraction[node] == candidate.leaf_fraction == fracs.max()
+                    assert tree.count[node] == candidate.leaf_count
+                    checked += 1
+        assert checked > 3 * len(test_items)
+
     def test_ranks_the_approaching_object_first(self, mini_model):
         model, _ = mini_model
         scene, ann = _mini_scene(999, "Chase")
@@ -709,11 +770,12 @@ class TestPersistence:
             ({"fraction": 0.5, "count": 2.5}, "count 2.5 is not an integer"),
             ({"fraction": "0.5", "count": 3}, "fraction '0.5' is not a number"),
             ({"fraction": False, "count": 3}, "fraction False is not a number"),
+            ({"fraction": 0.5, "count": 2**31}, "2147483648"),
         ],
         ids=[
             "dangling", "cycle", "feature", "nan-fraction", "no-nodes", "no-trees",
             "float-feature", "bool-feature", "float-left", "str-right", "float-count",
-            "str-fraction", "bool-fraction",
+            "str-fraction", "bool-fraction", "int32-count",
         ],
     )
     def test_corrupt_tree_links(self, mini_model, root, match):
@@ -729,6 +791,22 @@ class TestPersistence:
             trees[0]["nodes"][0] = root
         with pytest.raises(CorruptModel, match=match):
             model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [{"fraction": 0.5, "count": 2**31 - 1}, {"fraction": 1, "count": 3}],
+        ids=["largest-count", "int-fraction"],
+    )
+    def test_edge_leaves_load_and_resave_as_floats(self, mini_model, leaf):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        first_action = next(iter(payload["actions"]))
+        nodes = payload["actions"][first_action]["trees"][0]["nodes"]
+        nodes[0] = leaf
+        resaved = model_to_json(model_from_json(json.dumps(payload)))
+        nodes[0] = {**leaf, "fraction": float(leaf["fraction"])}
+        assert resaved == model_to_json(model_from_json(json.dumps(payload)))
+        assert json.loads(resaved)["actions"][first_action]["trees"][0]["nodes"][0] == leaf
 
     def test_model_without_actions_rejected(self, mini_model):
         model, _ = mini_model

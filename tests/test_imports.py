@@ -1,6 +1,7 @@
-"""Each entry point loads only the modules it uses: ``import qxg`` and
-``qxg build`` run without numpy, and ``qxg explain`` without the scene
-generator or the bench.  Every check runs in a fresh interpreter."""
+"""Each entry point loads only the modules it uses: ``import qxg``,
+``import qxg.explainer``, ``qxg build`` and ``qxg explain`` run without
+numpy, and ``qxg explain`` without the scene generator or the bench.  Every
+check runs in a fresh interpreter."""
 
 import importlib
 import subprocess
@@ -43,6 +44,10 @@ def test_package_import_loads_no_numpy():
     assert _loaded_after("import qxg") == set()
 
 
+def test_explainer_import_loads_no_numpy():
+    assert _loaded_after("import qxg.explainer") == {"qxg.explainer"}
+
+
 def test_build_runs_without_numpy(files, tmp_path):
     trace, _, _ = files
     argv = ["build", "--trace", str(trace), "--out", str(tmp_path / "g.json")]
@@ -56,7 +61,7 @@ def test_explain_loads_neither_generator_nor_bench(files, tmp_path):
         "--actor", annotation.actor_id, "--action", annotation.action, "--out", str(tmp_path / "e.json"),
     ]
     loaded = _loaded_after(f"import qxg.cli\nassert qxg.cli.main({argv!r}) == 0")
-    assert loaded == {"numpy", "qxg.explainer"}
+    assert loaded == {"qxg.explainer"}
 
 
 def test_exports_are_the_submodule_objects():
