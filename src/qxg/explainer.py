@@ -160,7 +160,7 @@ class EncodingSpec:
                               rel.qdc.band_index, rel.star4, n_bands))
             for frame, rel in chain
         ]
-        return self.encode_codes([codes], at_frame)[0]
+        return self.densify([self.hot_bits(codes, at_frame)])[0]
 
     def hot_bits(self, chain: Sequence[tuple[int, int]], at_frame: int) -> tuple[int, ...]:
         """The set feature indices of one chain of ``(frame, code)`` pairs
@@ -190,20 +190,12 @@ class EncodingSpec:
         np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], 1.0)
         return X
 
-    def encode_codes(
-        self, chains: Sequence[Sequence[tuple[int, int]]], at_frame: int
-    ) -> np.ndarray:
-        """One row per chain of ``(frame, code)`` pairs, laid out as
-        :meth:`hot_bits` describes."""
-        return self.densify([self.hot_bits(chain, at_frame) for chain in chains])
-
     def describe_feature(self, index: int) -> str:
         """Human name of one feature, e.g. ``frame-2 x=Before`` (two frames
         before the annotation, x intervals related by Before)."""
-        width = self.slot_width
-        if not 0 <= index < self.t * width:
-            raise IndexError(f"feature index {index} out of range 0..{self.t * width - 1}")
-        slot, within = divmod(index, width)
+        if not 0 <= index < self.feature_len:
+            raise IndexError(f"feature index {index} out of range 0..{self.feature_len - 1}")
+        slot, within = divmod(index, self.slot_width)
         frame = f"frame{slot - (self.t - 1):+d}"
         for name, labels in self.blocks:
             if within < len(labels):
@@ -399,58 +391,6 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
     return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
 
 
-@dataclass(frozen=True)
-class _PackedForest:
-    """One action's trees as a single node array, for scoring a matrix.
-    ``children[2 * i]`` and ``children[2 * i + 1]`` are node i's left and
-    right child, offset by their tree's root; leaves link to themselves, so
-    a walk that reached a leaf stays there while deeper walks go on."""
-
-    roots: np.ndarray
-    feature: np.ndarray
-    children: np.ndarray
-    fraction: np.ndarray
-
-    @classmethod
-    def pack(cls, trees: Sequence[Tree]) -> "_PackedForest":
-        import numpy as np
-
-        sizes = np.array([len(tree.feature) for tree in trees])
-        roots = np.cumsum(sizes) - sizes
-        shift = np.repeat(roots, sizes)
-        feature = np.concatenate([tree.feature for tree in trees])
-        own = np.arange(feature.size)
-        left = np.where(feature < 0, own, np.concatenate([tree.left for tree in trees]) + shift)
-        right = np.where(feature < 0, own, np.concatenate([tree.right for tree in trees]) + shift)
-        return cls(
-            roots,
-            feature,
-            np.stack([left, right], axis=1).ravel(),
-            np.concatenate([tree.fraction for tree in trees]),
-        )
-
-
-def _forest_scores(forest: _PackedForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk every row of ``X`` down every tree at once, one level per step.
-
-    Returns the forest score per row, and per row and tree the packed id of
-    the leaf reached.  The fractions are summed in tree order (a running
-    ``cumsum``), as :func:`_walk_forest` sums them: a pairwise ``sum`` or
-    ``mean`` differs in the last bits and would change explanation JSON."""
-    import numpy as np
-
-    hot = (X > 0.5).ravel()
-    row_start = np.arange(X.shape[0])[:, None] * X.shape[1]
-    node = np.tile(forest.roots, (X.shape[0], 1))
-    f = forest.feature[node]
-    while (f >= 0).any():
-        # a leaf (f == -1) reads some other bit, but both its links are itself
-        node = forest.children[2 * node + hot[row_start + f]]
-        f = forest.feature[node]
-    scores = np.cumsum(forest.fraction[node], axis=1)[:, -1] / forest.roots.size
-    return scores, node
-
-
 def _walk_forest(
     trees: Sequence[Tree], hot: AbstractSet[int]
 ) -> tuple[float, int, int, list[int]]:
@@ -458,11 +398,11 @@ def _walk_forest(
 
     Returns the forest score; the first tree whose leaf has the highest
     fraction; that leaf; and the split nodes passed on the way to it, root
-    first.  The leaf fractions are added one by one in tree order, as
-    ``_forest_scores`` adds them; ``sum()`` may compensate rounding and
-    differ in the last bits.  Only the chosen tree's path is recorded, by
-    walking it once more: keeping every tree's path made the walk about 1.6
-    times as slow."""
+    first.  The leaf fractions are added one by one in tree order: ``sum()``
+    may compensate rounding, and a pairwise mean differs in the last bits,
+    either of which would change explanation JSON.  Only the chosen tree's
+    path is recorded, by walking it once more: keeping every tree's path made
+    the walk about 1.6 times as slow."""
     total, best, best_tree = 0.0, -1.0, 0
     for j, tree in enumerate(trees):
         feature, left, right = tree.feature, tree.left, tree.right
@@ -558,6 +498,12 @@ def train(
     return Model(seed, dataset.spec, dataset.cfg, hyperparams, forests)
 
 
+def _hot(vector: np.ndarray) -> frozenset[int]:
+    import numpy as np
+
+    return frozenset(np.flatnonzero(vector > 0.5).tolist())
+
+
 def score(model: Model, action: str, vector: np.ndarray) -> float:
     """Mean positive leaf fraction across the action's trees."""
     import numpy as np
@@ -570,12 +516,11 @@ def score(model: Model, action: str, vector: np.ndarray) -> float:
             f"model expects vectors of length {model.spec.feature_len}, "
             f"got shape {vector.shape}"
         )
-    hot = set(np.flatnonzero(vector > 0.5).tolist())
-    return _walk_forest(model.forests[action], hot)[0]
+    return _walk_forest(model.forests[action], _hot(vector))[0]
 
 
 def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
-    """Score a whole matrix against every action's forest at once."""
+    """Score every row of a matrix against every action's forest."""
     import numpy as np
 
     X = np.asarray(X, dtype=np.float64)
@@ -583,8 +528,9 @@ def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
         raise LengthMismatch(
             f"model expects (n, {model.spec.feature_len}) matrices, got shape {X.shape}"
         )
+    rows = [_hot(row) for row in X]
     return {
-        action: _forest_scores(_PackedForest.pack(model.forests[action]), X)[0]
+        action: np.array([_walk_forest(model.forests[action], hot)[0] for hot in rows])
         for action in model.actions
     }
 

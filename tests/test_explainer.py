@@ -33,9 +33,7 @@ from qxg.explainer import (
     Model,
     UnknownAction,
     VersionMismatch,
-    _PackedForest,
     _fit_tree,
-    _forest_scores,
     _walk_forest,
     build_dataset,
     evaluate,
@@ -332,15 +330,6 @@ MINI_HP = Hyperparams(n_trees=16, max_depth=6, min_samples_leaf=2)
 
 
 @pytest.fixture(scope="module")
-def corpus_model():
-    """A default-sized model over a small generated corpus, with held-out
-    scenes."""
-    train_items, test_items = generate_corpus(25, 10, master_seed=5)
-    model = train(build_dataset([(s, a) for s, a, _ in train_items]), seed=5)
-    return model, test_items
-
-
-@pytest.fixture(scope="module")
 def mini_model():
     dataset = build_dataset(_mini_corpus(), t=4)
     return train(dataset, seed=7, hyperparams=MINI_HP), dataset
@@ -394,10 +383,40 @@ class TestTraining:
 
     def test_single_score_matches_batch(self, mini_model):
         model, dataset = mini_model
-        batch = predict_scores(model, dataset.X)
+        rng = np.random.default_rng(11)
+        X = np.vstack([dataset.X, rng.random((2000, model.spec.feature_len)) < 0.15])
+        batch = predict_scores(model, X)
         for action in model.actions:
-            for i, row in enumerate(dataset.X):
+            for i, row in enumerate(X):
                 assert score(model, action, row) == batch[action][i]
+
+    def test_walk_keeps_the_first_most_confident_leaf(self, mini_model):
+        """On random rows, the walk's tree, leaf and path against every
+        tree's leaf found on the dense row."""
+        model, _ = mini_model
+        rng = np.random.default_rng(11)
+        X = rng.random((2000, model.spec.feature_len)) < 0.15
+        ties = 0
+        for action in model.actions:
+            trees = model.forests[action]
+            for row in X:
+                _, best_tree, leaf, path = _walk_forest(trees, frozenset(np.flatnonzero(row).tolist()))
+                reached = []
+                for tree in trees:
+                    node = 0
+                    while tree.feature[node] >= 0:
+                        node = tree.right[node] if row[tree.feature[node]] else tree.left[node]
+                    reached.append(node)
+                fractions = [tree.fraction[node] for tree, node in zip(trees, reached)]
+                assert best_tree == fractions.index(max(fractions))  # first tree on ties
+                ties += fractions.count(max(fractions)) > 1
+                assert leaf == reached[best_tree]
+                tree, node = trees[best_tree], 0
+                for step in path:
+                    assert step == node and tree.feature[node] >= 0
+                    node = tree.right[node] if row[tree.feature[node]] else tree.left[node]
+                assert node == leaf
+        assert ties, "expected a tie to exercise the first-tree rule"
 
     def test_scores_sum_leaf_fractions_in_tree_order(self, mini_model):
         model, _ = mini_model
@@ -420,26 +439,6 @@ class TestTraining:
                 assert got[action][i] == total / len(trees)
             pairwise_differs += int(np.sum(fractions.mean(axis=1) != got[action]))
         assert pairwise_differs, "a pairwise mean never differs here, so the test cannot tell"
-
-    def test_sparse_walk_equals_the_batch_walk(self, corpus_model):
-        model, _ = corpus_model
-        rng = np.random.default_rng(11)
-        X = (rng.random((2000, model.spec.feature_len)) < 0.15).astype(np.float64)
-        for action in model.actions:
-            trees = model.forests[action]
-            forest = _PackedForest.pack(trees)
-            batch, leaves = _forest_scores(forest, X)
-            for i, row in enumerate(X):
-                got, best_tree, leaf, path = _walk_forest(trees, frozenset(np.flatnonzero(row).tolist()))
-                assert got == batch[i]
-                fracs = forest.fraction[leaves[i]]
-                assert best_tree == int(np.argmax(fracs))  # the first on ties
-                assert leaf == leaves[i, best_tree] - forest.roots[best_tree]
-                tree, node = trees[best_tree], 0
-                for step in path:
-                    assert step == node and tree.feature[node] >= 0
-                    node = tree.right[node] if row[tree.feature[node]] > 0.5 else tree.left[node]
-                assert node == leaf and tree.feature[leaf] < 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InsufficientData):
@@ -523,35 +522,6 @@ class TestTreeFitting:
 
 
 class TestExplain:
-    def test_candidates_agree_with_the_batch_walk(self, corpus_model):
-        """Score, best tree, leaf and path of every candidate, against
-        ``_forest_scores`` on the candidate's dense vector."""
-        model, test_items = corpus_model
-        checked = 0
-        for scene, annotation, _ in test_items:
-            graph = build(scene)
-            actor, frame = annotation.actor_id, annotation.frame_index
-            vectors = {s.other: s.vector for s in extract_features(graph, actor, frame, model.spec)}
-            for action in model.actions:
-                trees = model.forests[action]
-                forest = _PackedForest.pack(trees)
-                for candidate in explain(model, graph, actor, frame, action).candidates:
-                    vector = vectors[candidate.other]
-                    batch, leaves = _forest_scores(forest, vector[None, :])
-                    fracs = forest.fraction[leaves[0]]
-                    assert candidate.score == batch[0]
-                    assert candidate.best_tree == int(np.argmax(fracs))  # the first on ties
-                    tree, node = trees[candidate.best_tree], 0
-                    for step in candidate.path:
-                        assert step.feature == tree.feature[node]
-                        assert step.value == int(vector[step.feature] > 0.5)
-                        node = tree.right[node] if step.value else tree.left[node]
-                    assert node == leaves[0, candidate.best_tree] - forest.roots[candidate.best_tree]
-                    assert tree.fraction[node] == candidate.leaf_fraction == fracs.max()
-                    assert tree.count[node] == candidate.leaf_count
-                    checked += 1
-        assert checked > 3 * len(test_items)
-
     def test_ranks_the_approaching_object_first(self, mini_model):
         model, _ = mini_model
         scene, ann = _mini_scene(999, "Chase")
