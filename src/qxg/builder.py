@@ -10,6 +10,11 @@ comparisons and stored as packed integer codes.  The arithmetic (``hypot``
 distances, exact endpoint ties, half-open bands) is kept identical to the
 pure functions so the two code paths agree bit for bit; the test suite
 cross-checks them on random frames.
+
+A scene holds few distinct codes (about 1,300 in a 160-object crowd over 200
+frames, against 2.5 M stored relations), so each graph interns its codes:
+equal codes are one shared ``int`` object, and a stored relation costs two
+list slots, its frame and its code, with no boxed ``int`` of its own.
 """
 
 from __future__ import annotations
@@ -109,9 +114,11 @@ class BuilderStats:
     elapsed_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeHistory:
-    """Per-pair relation history as parallel arrays (ascending frames)."""
+    """Per-pair relation history as parallel lists (ascending frames).  The
+    codes are shared ``int`` objects: the builder and the JSON loader store
+    one object per distinct code value in a graph."""
 
     frames: list[int] = field(default_factory=list)
     codes: list[int] = field(default_factory=list)
@@ -211,6 +218,7 @@ class Builder:
         self.graph = QXG(scene_id, cfg.qdc_band_names)
         self._last_center: dict[str, tuple[float, float]] = {}
         self._last_index: int | None = None
+        self._codes: dict[int, int] = {}
 
     def push_frame(self, frame: Frame) -> BuilderStats:
         t0 = time.perf_counter_ns()
@@ -225,13 +233,18 @@ class Builder:
         last_center = self._last_center
         node_classes = self.graph.node_classes
         graph_edges = self.graph.edges
+        intern = self._codes.setdefault
 
-        # Unpack once; the pair loop below touches plain floats only.
+        # Unpack once; the pair loop below touches plain floats only.  Each
+        # object's last centre is read here too: it is only written after
+        # the pair loop.
         states = []
         for s in frame.objects:
             x, y = s.bbox.x, s.bbox.y
             cx, cy = (x.lo + x.hi) / 2.0, (y.lo + y.hi) / 2.0
-            states.append((s.object_id, x.lo, x.hi, y.lo, y.hi, cx, cy))
+            states.append(
+                (s.object_id, x.lo, x.hi, y.lo, y.hi, cx, cy, last_center.get(s.object_id))
+            )
         states.sort(key=lambda st: st[0])
         for a, b in zip(states, states[1:]):
             if a[0] == b[0]:
@@ -242,10 +255,9 @@ class Builder:
         frame_index = frame.index
         pairs_updated = 0
         for i in range(len(states) - 1):
-            a_id, axl, axh, ayl, ayh, acx, acy = states[i]
-            a_prev = last_center.get(a_id)
+            a_id, axl, axh, ayl, ayh, acx, acy, a_prev = states[i]
             for j in range(i + 1, len(states)):
-                b_id, bxl, bxh, byl, byh, bcx, bcy = states[j]
+                b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev = states[j]
 
                 # Interval relation per axis (exact endpoint ties).
                 if axh < bxl:
@@ -288,7 +300,6 @@ class Builder:
                 else:
                     ay = 8 if ayl == byh else 9
 
-                b_prev = last_center.get(b_id)
                 if a_prev is None or b_prev is None:
                     am = bm = 3
                 else:
@@ -316,6 +327,7 @@ class Builder:
 
                 # pack_code, inlined
                 code = ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
+                code = intern(code, code)
                 history = graph_edges.get((a_id, b_id))
                 if history is None:
                     history = graph_edges[(a_id, b_id)] = EdgeHistory()
@@ -402,6 +414,7 @@ def graph_from_dict(payload: dict) -> QXG:
         band_index = {name: i for i, name in enumerate(band_names)}
         if len(band_index) != len(band_names):
             raise ValueError(f"not a serialized scene graph: band names {band_names} repeat")
+        intern = {}.setdefault  # equal codes share one int, as in Builder
         for node in payload["nodes"]:
             graph.node_classes[node["id"]] = node["class"]
         for edge in payload["edges"]:
@@ -425,7 +438,8 @@ def graph_from_dict(payload: dict) -> QXG:
                         f"increasing integers, got {frame!r} after {history.frames[-1:]}"
                     )
                 history.frames.append(frame)
-                history.codes.append(relation_code(rel, band_index))
+                code = relation_code(rel, band_index)
+                history.codes.append(intern(code, code))
             graph.edges[key] = history
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"not a serialized scene graph: {exc!r}") from None

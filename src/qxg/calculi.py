@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval on one axis.  Zero width is allowed (a point)."""
 
@@ -71,7 +71,7 @@ class Interval:
         return (self.lo + self.hi) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2D:
     x: float
     y: float
@@ -80,7 +80,7 @@ class Point2D:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox2D:
     """Axis-aligned box: an x interval and a y interval."""
 

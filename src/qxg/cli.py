@@ -131,11 +131,11 @@ def _emit(payload: bytes, out: str | None) -> None:
 def cmd_gen(args) -> int:
     from .synthgen import CLEAR_CRUISE, ScenarioSpec, generate_scenes
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = ScenarioSpec(
         args.kind or CLEAR_CRUISE, n_distractors=args.distractors, jitter_sigma=args.jitter
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (scene, annotation, truth) in enumerate(
         generate_scenes(args.scenes, base, args.seed, args.kind)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help=f"distractor objects per scene, 0..{MAX_DISTRACTORS}; cost grows with the square",
     )
-    p.add_argument("--jitter", type=float, default=0.1, help="observation noise sigma (m)")
+    p.add_argument("--jitter", type=_finite_float, default=0.1, help="observation noise sigma (m)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="traces", help="output directory")
     p.set_defaults(func=cmd_gen)

@@ -71,7 +71,7 @@ class DanglingAnnotation(TraceError):
     """An annotation that points at a frame or object the trace never had."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectState:
     object_id: str
     obj_class: str
@@ -82,7 +82,7 @@ class ObjectState:
         return self.bbox.center
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     index: int
     timestamp: float

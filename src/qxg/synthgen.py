@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from math import hypot
+from math import hypot, isfinite
 from typing import Iterable
 
 import numpy as np
@@ -114,8 +114,10 @@ class ScenarioSpec:
             )
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
+        if not (isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError(
+                f"jitter_sigma must be a finite non-negative number, got {self.jitter_sigma}"
+            )
         if self.cruise_twin not in (None, "l12", "l45"):
             raise ValueError(f"cruise_twin must be 'l12', 'l45' or None, got {self.cruise_twin!r}")
         if self.cruise_twin is not None and self.kind != CLEAR_CRUISE:

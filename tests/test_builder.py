@@ -1,14 +1,18 @@
 """Graph builder: incremental updates, chains, serialization."""
 
+import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from qxg.calculi import (
     Allen,
     BBox2D,
+    Interval,
+    Point2D,
     CalculiConfig,
     DEFAULT_CONFIG,
     Motion,
@@ -18,6 +22,7 @@ from qxg.calculi import (
 from qxg.builder import (
     Builder,
     BuilderStats,
+    EdgeHistory,
     OutOfOrderFrame,
     QXG,
     build,
@@ -399,3 +404,79 @@ def test_empty_frames_are_harmless():
     assert stats.pairs_updated == 0
     assert builder.graph.edges == {}
     assert builder.graph.node_classes == {"a": "car"}
+
+
+def _box_walk(seed, n_objects, n_frames):
+    """Every object in every frame, each box drifting on a seeded walk."""
+    rng = random.Random(seed)
+    pos = [(rng.uniform(-40, 40), rng.uniform(-40, 40)) for _ in range(n_objects)]
+    frames = []
+    for f in range(n_frames):
+        states = []
+        for i, (x, y) in enumerate(pos):
+            x, y = x + rng.uniform(-1.5, 1.5), y + rng.uniform(-1.5, 1.5)
+            pos[i] = (x, y)
+            states.append(_state(f"o{i:03d}", x, y, w=rng.uniform(0.5, 4), h=rng.uniform(0.5, 4)))
+        frames.append(_frame(f, *states))
+    return frames
+
+
+class TestStorage:
+    def test_a_stored_relation_costs_two_list_slots(self):
+        frames = _box_walk(0, 60, 40)
+        tracemalloc.start()
+        try:
+            builder = Builder("walk")
+            before = tracemalloc.get_traced_memory()[0]
+            for frame in frames:
+                builder.push_frame(frame)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        stored = sum(len(history) for history in builder.graph.edges.values())
+        assert stored == 40 * 60 * 59 // 2
+        # two 8-byte slots plus list over-allocation and the per-edge
+        # objects; a boxed int per relation would add 28 bytes more
+        assert used / stored <= 32
+
+    def test_equal_codes_share_one_object(self):
+        builder = Builder("walk")
+        for frame in _box_walk(1, 60, 40):
+            builder.push_frame(frame)
+        graph = builder.graph
+        for g in (graph, import_graph(export_graph(graph))):
+            codes = [code for history in g.edges.values() for code in history.codes]
+            assert len({id(code) for code in codes}) == len(set(codes))
+            # most codes lie outside CPython's small-int cache
+            assert sum(code > 256 for code in set(codes)) > 100
+
+    @pytest.mark.parametrize(
+        "make, field, other",
+        [
+            (lambda: Interval(0.0, 1.0), "lo", -1.0),
+            (lambda: Point2D(1.0, 2.0), "x", 5.0),
+            (lambda: BBox2D.from_bounds(0.0, 1.0, 2.0, 3.0), "y", Interval(4.0, 5.0)),
+            (lambda: _state("a", 1.0, 2.0), "obj_class", "truck"),
+            (lambda: _frame(3, _state("a", 1.0, 2.0)), "objects", ()),
+        ],
+        ids=["Interval", "Point2D", "BBox2D", "ObjectState", "Frame"],
+    )
+    def test_frozen_value_types_are_slotted(self, make, field, other):
+        value = make()
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, other)
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        assert value == make() and hash(value) == hash(make()) == hash(fields)
+        changed = dataclasses.replace(value, **{field: other})
+        assert getattr(changed, field) == other and changed != value
+        assert dataclasses.replace(changed, **{field: getattr(value, field)}) == value
+
+    def test_edge_history_is_slotted(self):
+        history = EdgeHistory()
+        assert not hasattr(history, "__dict__")
+        history.frames.append(4)
+        history.codes.append(700)
+        assert history == EdgeHistory([4], [700]) and len(history) == 1
+        with pytest.raises(AttributeError):
+            history.extra = 1

@@ -130,6 +130,22 @@ class TestGen:
         assert f"must be in 0..200, got {count}" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "jitter, code, message",
+        [
+            ("nan", 2, "argument --jitter: must be a finite number, got nan"),
+            ("inf", 2, "argument --jitter: must be a finite number, got inf"),
+            ("-1", 1, "jitter_sigma must be a finite non-negative number, got -1.0"),
+        ],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_bad_jitter_is_refused_before_any_output(self, tmp_path, jitter, code, message):
+        out = tmp_path / "d"
+        result = run_cli("gen", "--scenes", "2", "--jitter", jitter, "--out", str(out), timeout=20)
+        assert result.returncode == code
+        assert message in result.stderr
+        assert not out.exists()
+
     def test_distractor_bound_is_inclusive(self, tmp_path):
         result = run_cli("gen", "--scenes", "1", "--distractors", "200", "--out", str(tmp_path / "d"))
         assert result.returncode == 0, result.stderr

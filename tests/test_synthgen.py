@@ -217,6 +217,8 @@ class TestSpecValidation:
             dict(kind=CLEAR_CRUISE, jitter_sigma=-0.5),
             dict(kind=CLEAR_CRUISE, cruise_twin="l99"),
             dict(kind=GAP_ACCELERATE, cruise_twin="l12"),
+            dict(kind=CLEAR_CRUISE, jitter_sigma=float("nan")),
+            dict(kind=CLEAR_CRUISE, jitter_sigma=float("inf")),
         ],
     )
     def test_bad_specs_rejected(self, kwargs):
