@@ -13,35 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import Builder
-from .calculi import DEFAULT_CONFIG, BBox2D, CalculiConfig, Interval
+from .calculi import BBox2D, Interval
 from .scene import Frame, ObjectState
 
 DEFAULT_SIZES = (20, 40, 80, 160)
+AREA = 150.0  # side of the square the crowd walks in, m
+STEP = 0.6  # per-frame step sigma, m
+WARMUP = 3  # frames pushed before timing starts
 
 
-def crowd_frames(
-    n_objects: int,
-    n_frames: int,
-    seed: int = 0,
-    *,
-    area: float = 150.0,
-    step: float = 0.6,
-) -> list[Frame]:
+def crowd_frames(n_objects: int, n_frames: int, seed: int = 0) -> list[Frame]:
     """Random-walk boxes, everyone present everywhere."""
     if n_objects < 2:
         raise ValueError(f"need at least 2 objects, got {n_objects}")
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, area, n_objects)
-    y = rng.uniform(0.0, area, n_objects)
+    x = rng.uniform(0.0, AREA, n_objects)
+    y = rng.uniform(0.0, AREA, n_objects)
     half_w = rng.uniform(0.4, 1.3, n_objects)
     half_h = rng.uniform(0.4, 1.3, n_objects)
     frames = []
     for index in range(n_frames):
         if index:
-            x = np.clip(x + rng.normal(0.0, step, n_objects), 0.0, area)
-            y = np.clip(y + rng.normal(0.0, step, n_objects), 0.0, area)
+            x = np.clip(x + rng.normal(0.0, STEP, n_objects), 0.0, AREA)
+            y = np.clip(y + rng.normal(0.0, STEP, n_objects), 0.0, AREA)
         objects = tuple(
             ObjectState(
                 f"o{i:03d}",
@@ -67,34 +63,16 @@ class BenchResult:
     p95_ms: float
     mean_pairs: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n_objects": self.n_objects,
-            "n_frames": self.n_frames,
-            "median_ms": self.median_ms,
-            "p95_ms": self.p95_ms,
-            "mean_pairs": self.mean_pairs,
-        }
 
-
-def run_bench(
-    n_objects: int,
-    n_frames: int = 30,
-    seed: int = 0,
-    *,
-    warmup: int = 3,
-    cfg: CalculiConfig = DEFAULT_CONFIG,
-) -> BenchResult:
+def run_bench(n_objects: int, n_frames: int = 30, seed: int = 0) -> BenchResult:
     """Time ``push_frame`` over a dense scene; report median and p95 in ms."""
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    frames = crowd_frames(n_objects, n_frames + warmup, seed)
-    builder = Builder("bench", cfg)
+    frames = crowd_frames(n_objects, n_frames + WARMUP, seed)
+    builder = Builder("bench")
     elapsed = []
     pairs = []
     for i, frame in enumerate(frames):
         stats = builder.push_frame(frame)
-        if i >= warmup:
+        if i >= WARMUP:
             elapsed.append(stats.elapsed_ns)
             pairs.append(stats.pairs_updated)
     ms = np.asarray(elapsed, dtype=float) / 1e6
@@ -114,19 +92,9 @@ class ScalingReport:
     results: tuple[BenchResult, ...]
     exponent: float
 
-    def as_dict(self) -> dict:
-        return {
-            "results": [r.as_dict() for r in self.results],
-            "exponent": self.exponent,
-        }
-
 
 def run_scaling(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    n_frames: int = 30,
-    seed: int = 0,
-    *,
-    cfg: CalculiConfig = DEFAULT_CONFIG,
+    sizes: tuple[int, ...] = DEFAULT_SIZES, n_frames: int = 30, seed: int = 0
 ) -> ScalingReport:
     """Fit median cost ~ k^e over the given crowd sizes.
 
@@ -137,27 +105,8 @@ def run_scaling(
         raise ValueError("scaling fit needs at least two sizes")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate sizes in {sizes}")
-    results = tuple(run_bench(k, n_frames, seed, cfg=cfg) for k in sizes)
+    results = tuple(run_bench(k, n_frames, seed) for k in sizes)
     log_k = np.log([r.n_objects for r in results])
     log_ms = np.log([r.median_ms for r in results])
     exponent = float(np.polyfit(log_k, log_ms, 1)[0])
     return ScalingReport(results, exponent)
-
-
-def run_repeats(n_objects: int, n_frames: int = 30, seed: int = 0, repeats: int = 1) -> dict:
-    """:func:`run_bench` on seeds ``seed``, ``seed + 1``, ... ``repeats``
-    times; reports the medians over runs of each run's median and p95."""
-    runs = [run_bench(n_objects, n_frames, seed + i) for i in range(repeats)]
-    median_ms = float(np.median([r.median_ms for r in runs]))
-    p95_ms = float(np.median([r.p95_ms for r in runs]))
-    return {
-        "n_objects": n_objects,
-        "n_frames": n_frames,
-        "repeats": repeats,
-        "median_ms": median_ms,
-        "p95_ms": p95_ms,
-        "median_ns": median_ms * 1e6,
-        "p95_ns": p95_ms * 1e6,
-        "mean_pairs": runs[0].mean_pairs,
-        "runs": [r.as_dict() for r in runs],
-    }

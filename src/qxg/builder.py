@@ -20,7 +20,6 @@ list slots, its frame and its code, with no boxed ``int`` of its own.
 from __future__ import annotations
 
 import json
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -150,10 +149,6 @@ class QXG:
             Sector(sector),
         )
 
-    def relations(self, a: str, b: str) -> list[tuple[int, RelationTuple]]:
-        """Full relation history of the pair, oriented as a-against-b."""
-        return self.edge_chain(a, b, math.inf, math.inf)
-
     def code_chain(self, a: str, b: str, at_frame: int, t: int) -> list[tuple[int, int]]:
         """The last up-to-``t`` relation codes of the pair at or before
         ``at_frame``, in ascending frame order, oriented as a-against-b."""
@@ -180,8 +175,13 @@ class QXG:
         ending at ``at_frame``, sorted by id, each with those relations as
         ``(frame, code)`` pairs oriented as actor-against-partner."""
         start = at_frame - t + 1
+        partners = sorted(
+            second if first == actor else first
+            for first, second in self.edges
+            if actor in (first, second)
+        )
         found = []
-        for other in self.partners(actor):
+        for other in partners:
             chain = self.code_chain(actor, other, at_frame, t)
             chain = [(f, code) for f, code in chain if f >= start]
             if chain:
@@ -193,16 +193,6 @@ class QXG:
     ) -> list[tuple[int, RelationTuple]]:
         """:meth:`code_chain` with every code decoded."""
         return [(frame, self.decode(code)) for frame, code in self.code_chain(a, b, at_frame, t)]
-
-    def partners(self, object_id: str) -> list[str]:
-        """Every object this one ever shared a frame with, sorted."""
-        found = []
-        for first, second in self.edges:
-            if first == object_id:
-                found.append(second)
-            elif second == object_id:
-                found.append(first)
-        return sorted(found)
 
 
 class Builder:
@@ -482,6 +472,8 @@ def import_graph(data: Union[str, bytes, dict]) -> QXG:
             payload = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not a serialized scene graph: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # nested too deep, too many int digits
+            raise ValueError(f"not a serialized scene graph: {exc}") from None
     else:
         payload = data
     if not isinstance(payload, dict):

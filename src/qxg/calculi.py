@@ -63,10 +63,6 @@ class Interval:
             raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return (self.lo + self.hi) / 2.0
 
@@ -252,10 +248,6 @@ class CalculiConfig:
             raise ValueError(f"band edges must be strictly increasing: {self.qdc_band_edges}")
         if self.qtc_epsilon < 0:
             raise ValueError("qtc_epsilon must be non-negative")
-
-    @property
-    def band_count(self) -> int:
-        return len(self.qdc_band_names)
 
     def band_for_distance(self, distance: float) -> QDCRelation:
         idx = bisect_right(self.qdc_band_edges, distance)

@@ -22,13 +22,13 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .defs import KINDS, Hyperparams, UnknownAction, replace_from_json
+from .defs import KINDS, MAX_CHAIN_LENGTH, Hyperparams, UnknownAction, replace_from_json
 from .scene import CauseRecord, TraceError, load_trace, serialize_scene
 
 # explainer, synthgen and bench load inside the handlers that call them.
@@ -61,8 +61,8 @@ def load_app_config(path: str | Path) -> AppConfig:
     field is converted."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # also: nested too deep, too many int digits
+        raise ValueError(f"config {path}: not valid JSON ({exc})") from None
     return replace_from_json(AppConfig(), payload, f"config {path}")
 
 
@@ -259,23 +259,8 @@ def cmd_eval(args) -> int:
         print("top-1 cause recovery: {}/{}".format(*report.cause_recovery))
 
     if args.out:
-        payload = {
-            "per_action": {
-                a: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "tp": m.tp,
-                    "fp": m.fp,
-                    "fn": m.fn,
-                    "support": m.support,
-                }
-                for a, m in sorted(report.per_action.items())
-            },
-            "macro_precision": report.macro_precision,
-            "macro_recall": report.macro_recall,
-            "n_rows": report.n_rows,
-        }
-        if report.cause_recovery is not None:
+        payload = asdict(report)
+        if payload.pop("cause_recovery") is not None:
             hits, total = report.cause_recovery
             payload["top1_cause_recovery"] = {"hits": hits, "total": total}
         blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n"
@@ -284,13 +269,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import run_repeats, run_scaling
+    from .bench import run_bench, run_scaling
 
     if args.scaling:
-        payload = run_scaling(tuple(args.scaling), n_frames=args.frames, seed=args.seed).as_dict()
+        result = run_scaling(tuple(args.scaling), n_frames=args.frames, seed=args.seed)
     else:
-        payload = run_repeats(args.objects, args.frames, args.seed, args.repeats)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        result = run_bench(args.objects, args.frames, args.seed)
+    print(json.dumps(asdict(result), indent=2, sort_keys=True))
     return 0
 
 
@@ -309,6 +294,13 @@ def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _chain_length(text: str) -> int:
+    value = _int(text)
+    if not 1 <= value <= MAX_CHAIN_LENGTH:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_CHAIN_LENGTH}, got {value}")
     return value
 
 
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory of .jsonl traces")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="model file (default: model.json)")
-    p.add_argument("--t", type=_positive_int, help="chain window length")
+    p.add_argument("--t", type=_chain_length, help=f"chain window length, 1..{MAX_CHAIN_LENGTH}")
     p.add_argument("--seed", type=int)
     p.add_argument("--n-trees", type=_positive_int, dest="n_trees")
     p.add_argument("--max-depth", type=_positive_int, dest="max_depth")
@@ -412,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time push_frame on dense synthetic crowds")
     p.add_argument("--objects", type=_crowd_size, default=160)
     p.add_argument("--frames", type=_positive_int, default=30)
-    p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scaling", type=_size_list, help="fit cost ~ k^e over sizes, e.g. 20,40,80,160")
     p.set_defaults(func=cmd_bench)

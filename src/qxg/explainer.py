@@ -31,12 +31,11 @@ from .builder import (
     QXG,
     SECTOR_LABELS,
     build,
-    pack_code,
     relation_to_dict,
     unpack_code,
 )
 from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple
-from .defs import Hyperparams, UnknownAction, replace_from_json
+from .defs import MAX_CHAIN_LENGTH, Hyperparams, UnknownAction, replace_from_json
 from .scene import NO_CAUSE, ActionAnnotation, Scene
 
 if TYPE_CHECKING:
@@ -124,8 +123,8 @@ class EncodingSpec:
     def __post_init__(self) -> None:
         if type(self.t) is not int:
             raise ValueError(f"chain length must be an integer, got {self.t!r}")
-        if self.t < 1:
-            raise ValueError(f"chain length must be at least 1, got {self.t}")
+        if not 1 <= self.t <= MAX_CHAIN_LENGTH:
+            raise ValueError(f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {self.t}")
         if not self.band_names:
             raise ValueError("need at least one distance band")
 
@@ -149,18 +148,6 @@ class EncodingSpec:
     @property
     def feature_len(self) -> int:
         return self.t * self.slot_width
-
-    def encode(self, chain: Sequence[tuple[int, RelationTuple]], at_frame: int) -> np.ndarray:
-        """One-hot a chain (as produced by ``QXG.edge_chain``) into a float
-        vector.  Entries outside the window are ignored; empty slots get
-        their missing flag."""
-        n_bands = len(self.band_names)
-        codes = [
-            (frame, pack_code(rel.ra.x, rel.ra.y, rel.qtcb.a, rel.qtcb.b,
-                              rel.qdc.band_index, rel.star4, n_bands))
-            for frame, rel in chain
-        ]
-        return self.densify([self.hot_bits(codes, at_frame)])[0]
 
     def hot_bits(self, chain: Sequence[tuple[int, int]], at_frame: int) -> tuple[int, ...]:
         """The set feature indices of one chain of ``(frame, code)`` pairs
@@ -202,23 +189,6 @@ class EncodingSpec:
                 return f"{frame} {name}={labels[within]}"
             within -= len(labels)
         return f"{frame} missing"
-
-    def decode(self, vector: np.ndarray) -> list[dict]:
-        """Inverse of ``encode`` for inspection: per-slot labels (None where
-        a one-hot block is all zero)."""
-        if len(vector) != self.feature_len:
-            raise LengthMismatch(f"expected {self.feature_len} features, got {len(vector)}")
-        out = []
-        for slot in range(self.t):
-            bits = iter(vector[slot * self.slot_width : (slot + 1) * self.slot_width] > 0.5)
-            entry = {}
-            for name, labels in self.blocks:
-                # labels go first, so zip takes exactly len(labels) bits
-                hits = [label for label, hit in zip(labels, bits) if hit]
-                entry[name] = hits[0] if hits else None
-            entry["missing"] = bool(next(bits))
-            out.append(entry)
-        return out
 
 
 @dataclass(frozen=True)
@@ -806,6 +776,8 @@ def model_from_json(data: bytes | str) -> Model:
         raise CorruptModel(f"model file is not JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise CorruptModel(f"model file is not UTF-8: {exc.reason}") from None
+    except (ValueError, RecursionError) as exc:  # nested too deep, too many int digits
+        raise CorruptModel(f"model file is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise CorruptModel("model file must hold a JSON object")
     version = payload.get("version")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
@@ -106,10 +107,6 @@ class Scene:
                 return fr
         return None
 
-    @property
-    def object_ids(self) -> set[str]:
-        return {s.object_id for fr in self.frames for s in fr.objects}
-
 
 @dataclass(frozen=True)
 class ActionAnnotation:
@@ -145,6 +142,9 @@ def _require(record: dict, key: str, kind, line_no: int):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaViolation(f"field {key!r} must be a number, got {value!r}", line_no)
+        # NaN, ±Infinity or an int past float range; NaN would pass every order check
+        if not abs(value) <= sys.float_info.max:
+            raise SchemaViolation(f"field {key!r} must be a finite number, got {value!r}", line_no)
         return float(value)
     if not isinstance(value, kind):
         raise SchemaViolation(
@@ -162,7 +162,7 @@ def _parse_interval(raw, axis: str, line_no: int) -> Interval:
         raise SchemaViolation(f"bbox {axis} must be a [lo, hi] number pair, got {raw!r}", line_no)
     try:
         return Interval(float(raw[0]), float(raw[1]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise SchemaViolation(f"bbox {axis}: {exc}", line_no) from None
 
 
@@ -219,6 +219,8 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedLine(f"not valid JSON ({exc.msg})", line_no) from None
+        except (ValueError, RecursionError) as exc:  # nested too deep, too many int digits
+            raise MalformedLine(f"not valid JSON ({exc})", line_no) from None
         if not isinstance(record, dict):
             raise MalformedLine("expected a JSON object", line_no)
 
@@ -382,6 +384,9 @@ def validate_scene(scene: Scene) -> list[Violation]:
         violations.append(Violation("frames", "scene has no frames"))
     prev: Frame | None = None
     for frame in scene.frames:
+        if not abs(frame.timestamp) <= sys.float_info.max:  # NaN passes the order check below
+            message = f"timestamp {frame.timestamp} is not a finite number"
+            violations.append(Violation("timestamp_order", message, frame_index=frame.index))
         if prev is not None:
             if frame.index <= prev.index:
                 violations.append(

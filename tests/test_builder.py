@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -89,7 +90,7 @@ class TestAgainstPureFunctions:
         expected = _expected_histories(scene)
         assert set(graph.edges) == set(expected)
         for (a, b), want in expected.items():
-            assert graph.relations(a, b) == want
+            assert graph.edge_chain(a, b, math.inf, math.inf) == want
 
     def test_matches_reference_with_custom_config(self):
         cfg = CalculiConfig(
@@ -98,7 +99,7 @@ class TestAgainstPureFunctions:
         scene = _random_scene(99, n_objects=5)
         graph = build(scene, cfg)
         for (a, b), want in _expected_histories(scene, cfg).items():
-            assert graph.relations(a, b) == want
+            assert graph.edge_chain(a, b, math.inf, math.inf) == want
 
 
 class TestIncremental:
@@ -151,7 +152,7 @@ class TestIncremental:
                 ),
             )
         )
-        (f1, rel1), (f2, rel2) = graph.relations("a", "c")
+        (f1, rel1), (f2, rel2) = graph.edge_chain("a", "c", math.inf, math.inf)
         assert (f1, rel1.qtcb.a, rel1.qtcb.b) == (1, Motion.UNKNOWN, Motion.UNKNOWN)
         # one step later both sides have history: c is closing in on a
         assert rel2.qtcb.b == Motion.TOWARDS
@@ -169,7 +170,7 @@ class TestIncremental:
                 ),
             )
         )
-        history = graph.relations("a", "b")
+        history = graph.edge_chain("a", "b", math.inf, math.inf)
         assert [f for f, _ in history] == [0, 2]
         assert history[1][1].qtcb == history[1][1].qtcb.__class__(Motion.STABLE, Motion.TOWARDS)
 
@@ -180,8 +181,8 @@ class TestOrientation:
         scene = _random_scene(seed, n_objects=4)
         graph = build(scene)
         for a, b in list(graph.edges):
-            forward = graph.relations(a, b)
-            backward = graph.relations(b, a)
+            forward = graph.edge_chain(a, b, math.inf, math.inf)
+            backward = graph.edge_chain(b, a, math.inf, math.inf)
             assert [(f, converse_tuple(r)) for f, r in forward] == backward
 
     def test_keys_are_canonical(self):
@@ -191,7 +192,7 @@ class TestOrientation:
     def test_same_object_twice_rejected(self):
         graph = build(Scene("s", (_frame(0, _state("a", 0, 0)),)))
         with pytest.raises(ValueError, match="distinct"):
-            graph.relations("a", "a")
+            graph.code_chain("a", "a", 0, 5)
         with pytest.raises(ValueError, match="distinct"):
             graph.edge_chain("a", "a", 0, 5)
 
@@ -278,8 +279,8 @@ class TestPartners:
             ),
         )
         graph = build(scene)
-        assert graph.partners("a") == ["b", "c"]
-        assert graph.partners("ghost") == []
+        assert [other for other, _ in graph.window_chains("a", 2, 3)] == ["b", "c"]
+        assert graph.window_chains("ghost", 2, 3) == []
 
 
 class TestSerialization:

@@ -152,7 +152,7 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
-    assert Interval(3.0, 3.0).width == 0.0
+    assert Interval(3.0, 3.0).mid == 3.0  # zero width is a point
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_band_config_validation():
     with pytest.raises(ValueError):
         CalculiConfig(qtc_epsilon=-0.1)
     two_band = CalculiConfig(qdc_band_edges=(10.0,), qdc_band_names=("close", "far"))
-    assert two_band.band_count == 2
+    assert two_band.band_for_distance(12.0).band_name == "far"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from qxg.builder import build, import_graph
 from qxg.calculi import CalculiConfig
 from qxg.cli import AppConfig, load_app_config
-from qxg.defs import Hyperparams
+from qxg.defs import MAX_CHAIN_LENGTH, Hyperparams
 from qxg.scene import CauseRecord, load_trace, serialize_scene
 from qxg.synthgen import generate_dataset, generate_scenes
 
@@ -480,13 +480,77 @@ class TestEval:
         assert result.stderr.startswith("error: eval:") and "Traceback" not in result.stderr
 
 
+class TestUndecodableJSON:
+    @pytest.mark.parametrize("payload", ["deep-nesting", "5000-digit-int"])
+    @pytest.mark.parametrize("command", ["build", "explain", "train"])
+    def test_exits_1_without_traceback(self, corpus, manifest, tmp_path, command, payload):
+        blob = b"[" * 200_000 if payload == "deep-nesting" else b'{"seed": ' + b"9" * 5000 + b"}"
+        entry = _entry(manifest, "StoppingForCrosser")
+        trace = corpus / entry["file"]
+        bad = tmp_path / "bad.json"
+        if command == "build":  # the trace's second line
+            bad.write_bytes(trace.read_bytes().split(b"\n")[0] + b"\n" + blob + b"\n")
+            argv, message = ["--trace", str(bad)], "line 2: not valid JSON"
+        elif command == "explain":  # the model file
+            bad.write_bytes(blob)
+            argv = ["--trace", str(trace), "--model", str(bad), "--frame", str(entry["frame"]),
+                    "--actor", entry["actor"], "--action", entry["action"]]
+            message = "model file is not JSON"
+        else:  # the config file
+            bad.write_bytes(blob)
+            argv = ["--traces", str(corpus), "--config", str(bad), "--out", str(tmp_path / "m.json")]
+            message = f"config {bad}: not valid JSON"
+        result = run_cli(command, *argv, timeout=10)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {command}: {message}"), result.stderr
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "model"])
+def test_chain_length_is_bounded(corpus, manifest, model_file, tmp_path, source):
+    """t above MAX_CHAIN_LENGTH is refused quickly from each source (a usage
+    error from the flag); t at the bound runs."""
+
+    def run(t):
+        if source == "model":
+            payload = json.loads(model_file.read_text())
+            payload["t"] = t
+            payload["encoding"]["feature_len"] = t * payload["encoding"]["slot_width"]
+            model = tmp_path / "m.json"
+            model.write_text(json.dumps(payload))
+            entry = _entry(manifest, "StoppingForCrosser")
+            return run_cli(
+                "explain", "--trace", str(corpus / entry["file"]), "--model", str(model),
+                "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
+                timeout=10,
+            )
+        config = {"hyperparams": {"n_trees": 2, "max_depth": 3}}
+        flags = ["--t", str(t)] if source == "flag" else []
+        if source == "config":
+            config["t"] = t
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        return run_cli(
+            "train", "--traces", str(corpus), "--config", str(path), *flags,
+            "--out", str(tmp_path / "out.json"), timeout=10,
+        )
+
+    over = run(MAX_CHAIN_LENGTH + 1)
+    assert over.returncode == (2 if source == "flag" else 1)
+    assert f"must be in 1..{MAX_CHAIN_LENGTH}, got {MAX_CHAIN_LENGTH + 1}" in over.stderr
+    assert "Traceback" not in over.stderr
+    at_bound = run(MAX_CHAIN_LENGTH)
+    assert at_bound.returncode == 0, at_bound.stderr
+
+
 class TestBench:
     def test_json_fields(self):
         result = run_cli("bench", "--objects", "2", "--frames", "3")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
+        assert set(payload) == {"n_objects", "n_frames", "median_ms", "p95_ms", "mean_pairs"}
         assert payload["mean_pairs"] == 1.0  # two objects, one pair
-        assert payload["median_ns"] == pytest.approx(payload["median_ms"] * 1e6)
+        assert payload["n_frames"] == 3
 
     def test_scaling_mode(self):
         result = run_cli("bench", "--scaling", "4,8", "--frames", "3")

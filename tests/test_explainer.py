@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qxg.builder import QXG, build
+from qxg.builder import QXG, build, pack_code
 from qxg.calculi import (
     Allen,
     BBox2D,
@@ -21,6 +21,7 @@ from qxg.calculi import (
     RelationTuple,
     Sector,
 )
+from qxg.defs import MAX_CHAIN_LENGTH
 from qxg.explainer import (
     CorruptModel,
     Dataset,
@@ -54,6 +55,29 @@ from qxg.synthgen import generate_corpus
 SPEC = EncodingSpec()
 
 
+def _encode(spec, chain, at_frame):
+    """Reference encoder: one-hot a decoded chain (as produced by
+    ``QXG.edge_chain``) into a float vector.  Entries outside the window are
+    ignored; empty slots get their missing flag."""
+    n_bands = len(spec.band_names)
+    codes = [
+        (frame, pack_code(rel.ra.x, rel.ra.y, rel.qtcb.a, rel.qtcb.b,
+                          rel.qdc.band_index, rel.star4, n_bands))
+        for frame, rel in chain
+    ]
+    return spec.densify([spec.hot_bits(codes, at_frame)])[0]
+
+
+def _names(spec, vector):
+    """``describe_feature`` of every set bit, in index order."""
+    return [spec.describe_feature(i) for i in np.flatnonzero(vector)]
+
+
+def _missing(spec, vector):
+    """The slots, as ``frame-4`` ... ``frame+0``, whose missing flag is set."""
+    return [name.split()[0] for name in _names(spec, vector) if name.endswith(" missing")]
+
+
 def _tuple(x=Allen.BEFORE, y=Allen.BEFORE, am=Motion.STABLE, bm=Motion.STABLE, band=2, sector=Sector.NE):
     return RelationTuple(
         RARelation(x, y),
@@ -81,26 +105,26 @@ class TestEncodingSpec:
 
     def test_full_chain_sets_six_bits_per_slot(self):
         chain = [(f, _tuple()) for f in range(3, 8)]
-        vec = SPEC.encode(chain, at_frame=7)
+        vec = _encode(SPEC, chain, at_frame=7)
         assert vec.sum() == 5 * 6
-        assert not any(slot["missing"] for slot in SPEC.decode(vec))
+        assert _missing(SPEC, vec) == []
 
     def test_right_alignment_and_missing_flags(self):
         # seen only in the last two frames of the window
         chain = [(6, _tuple()), (7, _tuple(am=Motion.TOWARDS))]
-        decoded = SPEC.decode(SPEC.encode(chain, at_frame=7))
-        assert [slot["missing"] for slot in decoded] == [True, True, True, False, False]
-        assert decoded[3]["actor"] == "Stable"
-        assert decoded[4]["actor"] == "Towards"
+        vec = _encode(SPEC, chain, at_frame=7)
+        assert _missing(SPEC, vec) == ["frame-4", "frame-3", "frame-2"]
+        names = _names(SPEC, vec)
+        assert "frame-1 actor=Stable" in names
+        assert "frame+0 actor=Towards" in names
 
     def test_pre_window_entries_are_ignored(self):
         chain = [(0, _tuple()), (7, _tuple())]
-        decoded = SPEC.decode(SPEC.encode(chain, at_frame=7))
-        assert [slot["missing"] for slot in decoded] == [True, True, True, True, False]
+        assert _missing(SPEC, _encode(SPEC, chain, at_frame=7)) == ["frame-4", "frame-3", "frame-2", "frame-1"]
 
     def test_encode_known_positions(self):
         rel = _tuple(x=Allen.MEETS, y=Allen.DURING, am=Motion.AWAY, bm=Motion.TOWARDS, band=4, sector=Sector.SW)
-        vec = SPEC.encode([(7, rel)], at_frame=7)
+        vec = _encode(SPEC, [(7, rel)], at_frame=7)
         base = 4 * 44
         assert vec[base + Allen.MEETS] == 1
         assert vec[base + 13 + Allen.DURING] == 1
@@ -135,26 +159,24 @@ class TestEncodingSpec:
     @pytest.mark.parametrize(
         "spec", [SPEC, EncodingSpec(t=3, band_names=("a", "b"))], ids=["default", "two-band-t3"]
     )
-    def test_decode_and_describe_name_the_same_bit(self, spec):
-        for i in range(spec.feature_len):
-            one_hot = np.zeros(spec.feature_len)
-            one_hot[i] = 1.0
-            named = [
-                f"frame{slot - (spec.t - 1):+d} " + (name if value is True else f"{name}={value}")
-                for slot, entry in enumerate(spec.decode(one_hot))
-                for name, value in entry.items()
-                if value is not None and value is not False
-            ]
-            assert named == [spec.describe_feature(i)]
+    def test_describe_names_bits_in_slot_block_order(self, spec):
+        slot_names = [f"{name}={label}" for name, labels in spec.blocks for label in labels]
+        expected = [
+            f"frame{slot - (spec.t - 1):+d} {name}"
+            for slot in range(spec.t)
+            for name in slot_names + ["missing"]
+        ]
+        assert [spec.describe_feature(i) for i in range(spec.feature_len)] == expected
+
+    def test_chain_length_is_bounded(self):
+        assert EncodingSpec(t=MAX_CHAIN_LENGTH).feature_len == MAX_CHAIN_LENGTH * 44
+        with pytest.raises(ValueError, match=f"1..{MAX_CHAIN_LENGTH}, got {MAX_CHAIN_LENGTH + 1}"):
+            EncodingSpec(t=MAX_CHAIN_LENGTH + 1)
 
     @pytest.mark.parametrize("t", [5.0, True, "5"])
     def test_rejects_a_chain_length_that_is_no_integer(self, t):
         with pytest.raises(ValueError, match="integer"):
             EncodingSpec(t=t)
-
-    def test_decode_length_check(self):
-        with pytest.raises(LengthMismatch):
-            SPEC.decode(np.zeros(10))
 
     @given(st.data())
     @settings(max_examples=40)
@@ -175,7 +197,7 @@ class TestEncodingSpec:
                     ),
                 )
             )
-        vec = SPEC.encode(chain, at_frame=9)
+        vec = _encode(SPEC, chain, at_frame=9)
         assert set(np.unique(vec)) <= {0.0, 1.0}
         for slot in range(5):
             block = vec[slot * 44 : (slot + 1) * 44]
@@ -208,10 +230,8 @@ class TestExtraction:
 
     def test_vectors_align_with_presence(self):
         samples = {s.other: s for s in extract_features(self._graph(), "ego", 7, SPEC)}
-        late = SPEC.decode(samples["late"].vector)
-        assert [slot["missing"] for slot in late] == [True, True, True, False, False]
-        steady = SPEC.decode(samples["steady"].vector)
-        assert not any(slot["missing"] for slot in steady)
+        assert _missing(SPEC, samples["late"].vector) == ["frame-4", "frame-3", "frame-2"]
+        assert _missing(SPEC, samples["steady"].vector) == []
 
     def test_band_mismatch_rejected(self):
         cfg = CalculiConfig(qdc_band_edges=(4.0,), qdc_band_names=("in", "out"))
@@ -243,7 +263,7 @@ def _gappy_graph(seed, n_frames=12):
 
 
 class TestCodeReadPath:
-    """``extract_features`` one-hots stored codes; ``spec.encode`` over the
+    """``extract_features`` one-hots stored codes; ``_encode`` over the
     decoded ``edge_chain`` is the reference."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -256,13 +276,14 @@ class TestCodeReadPath:
                 samples = extract_features(graph, actor, frame, spec)
                 expected = [
                     other
-                    for other in graph.partners(actor)
-                    if any(f > frame - spec.t for f, _ in graph.edge_chain(actor, other, frame, spec.t))
+                    for other in sorted(graph.node_classes)
+                    if other != actor
+                    and any(f > frame - spec.t for f, _ in graph.edge_chain(actor, other, frame, spec.t))
                 ]
                 assert [s.other for s in samples] == expected
                 for sample in samples:
                     chain = graph.edge_chain(actor, sample.other, frame, spec.t)
-                    assert np.array_equal(sample.vector, spec.encode(chain, frame))
+                    assert np.array_equal(sample.vector, _encode(spec, chain, frame))
                     orientations.add(actor < sample.other)
         assert orientations == {True, False}
 

@@ -161,6 +161,34 @@ def test_config_loader(config_path, data):
         pass
 
 
+def _load_config(blob, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(blob)
+    return load_app_config(path)
+
+
+UNDECODABLE = {"deep-nesting": b"[" * 200_000, "5000-digit-int": b'{"seed": ' + b"9" * 5000 + b"}"}
+LOADERS = {
+    # the trace payload sits on line 2, after a valid header
+    "trace": (lambda blob, _: load_trace(b'{"type":"header","scene_id":"s","version":1}\n' + blob),
+              TraceError, "^line 2: not valid JSON"),
+    "graph": (lambda blob, _: import_graph(blob), ValueError, "^not a serialized scene graph: "),
+    "model": (lambda blob, _: model_from_json(blob), CorruptModel, "^model file is not JSON: "),
+    "config": (_load_config, ValueError, "^config .*: not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(UNDECODABLE))
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_undecodable_json_is_a_typed_error(loader, payload, tmp_path):
+    """Python's decoder raises RecursionError past its nesting depth and a
+    bare ValueError past the int digit limit; both must become each
+    loader's own error."""
+    load, error, message = LOADERS[loader]
+    with pytest.raises(error, match=message):
+        load(UNDECODABLE[payload], tmp_path)
+
+
 def test_invalid_utf8_trace_is_malformed_line(trace_blob):
     second = trace_blob.index(b"\n") + 1
     with pytest.raises(TraceError, match="line 2: not valid UTF-8"):

@@ -1,0 +1,92 @@
+"""Golden outputs: sha256 digests of one small fixed in-process pipeline.
+
+The pipeline generates a seeded corpus, trains a small model and writes
+every kind of output the program has: traces, the model file, graph JSON
+and DOT, explanations and the evaluation report.  The digests were
+recorded on the code before a refactor that had to keep every output byte
+for byte, so a change that moves any output byte fails here, and says
+which output moved.  A change that means to alter an output updates its
+digest and says why.
+"""
+
+import hashlib
+import json
+from dataclasses import asdict
+
+from qxg.builder import build, export_graph, import_graph
+from qxg.explainer import (
+    Hyperparams,
+    build_dataset,
+    evaluate,
+    explain,
+    explanation_to_dict,
+    model_to_json,
+    train,
+)
+from qxg.scene import CauseRecord, serialize_scene
+from qxg.synthgen import generate_corpus
+
+GOLDEN = {
+    "traces": "4a2022533e98943807ce57cd3fcc5cc68d8dfb71b152916e151bba26dea104d6",
+    "model": "db41f7785fd45e9753194e3acc0df82f908583c8ca5890ce06497b6851d57817",
+    "graph_json": "ac877810fe0a708eaec387f8fd1c0a4ff69db126989c17d25cf5a5b23428edaa",
+    "graph_dot": "3784c1c6ec020a3b375a038a4af0dad7082ad866283a10399ecb03bfa3c4d411",
+    "explanations": "24f9d2c4533f16e603d15ee197a3f9365749a5ea51f47a351570746998de9525",
+    "eval": "ece92e8bc344f4f2e6b05887f6d2707503ebe9c33df1cae6f7fdaa2ea5ba81d7",
+}
+
+
+def _digest(blobs) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(len(blob).to_bytes(8, "big"))
+        h.update(blob)
+    return h.hexdigest()
+
+
+def pipeline_outputs() -> dict[str, list[bytes]]:
+    train_items, test_items = generate_corpus(5, 2, master_seed=7)
+    traces = [
+        serialize_scene(
+            scene,
+            [annotation],
+            [CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)],
+        )
+        for scene, annotation, truth in train_items + test_items
+    ]
+    dataset = build_dataset([(scene, annotation) for scene, annotation, _ in train_items])
+    model = train(dataset, seed=7, hyperparams=Hyperparams(n_trees=10))
+    graph_json, graph_dot, explanations = [], [], []
+    for scene, annotation, _ in test_items:
+        graph = build(scene)
+        blob = export_graph(graph, "json")
+        assert export_graph(import_graph(blob), "json") == blob
+        graph_json.append(blob)
+        graph_dot.append(export_graph(graph, "dot"))
+        result = explain(model, graph, annotation.actor_id, annotation.frame_index, annotation.action)
+        explanations.append(json.dumps(explanation_to_dict(result), indent=2).encode("utf-8"))
+    causes = {
+        (scene.scene_id, annotation.actor_id, annotation.frame_index): truth.cause_id
+        for scene, annotation, truth in test_items
+    }
+    report = evaluate(model, build_dataset([(s, a) for s, a, _ in test_items]), causes=causes)
+    return {
+        "traces": traces,
+        "model": [model_to_json(model)],
+        "graph_json": graph_json,
+        "graph_dot": graph_dot,
+        "explanations": explanations,
+        "eval": [json.dumps(asdict(report), sort_keys=True).encode("utf-8")],
+    }
+
+
+def test_pipeline_outputs_are_byte_identical():
+    digests = {name: _digest(blobs) for name, blobs in pipeline_outputs().items()}
+    moved = sorted(name for name in GOLDEN if digests[name] != GOLDEN[name])
+    assert not moved, f"outputs changed: {moved}; digests now {digests}"
+
+
+if __name__ == "__main__":
+    # prints the current digests, for recording a deliberate output change
+    for name, blobs in pipeline_outputs().items():
+        print(f'    "{name}": "{_digest(blobs)}",')

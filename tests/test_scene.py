@@ -178,6 +178,7 @@ class TestSchemaViolations:
             lambda o: o["bbox"].update(x=[2, 1]),  # lo > hi
             lambda o: o["bbox"].update(y=["a", "b"]),
             lambda o: o["bbox"].update(x=[True, True]),
+            lambda o: o["bbox"].update(x=[0, 10**400]),  # past float range
         ],
     )
     def test_bad_object_payloads(self, mangle):
@@ -207,6 +208,17 @@ class TestOrderingViolations:
     def test_decreasing_timestamp(self):
         with pytest.raises(OrderingViolation, match="timestamp"):
             load_trace(_trace(HEADER, _frame_line(0, 1.0, []), _frame_line(1, 0.5, [])))
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    def test_non_finite_timestamp_rejected(self, value):
+        # json writes NaN, Infinity, -Infinity; every comparison with NaN is
+        # false, so 5.0, NaN, 1.0 used to pass the order check
+        frames = [_frame_line(i, ts, []) for i, ts in enumerate((5.0, value, 1.0))]
+        message = f"^line 3: field 'timestamp' must be a finite number, got {value}$"
+        with pytest.raises(SchemaViolation, match=message):
+            load_trace(_trace(HEADER, *frames))
 
     def test_gap_in_indices_is_fine(self):
         scene, _, _ = load_trace(_trace(HEADER, _frame_line(0, 0.0, []), _frame_line(7, 3.5, [])))
@@ -347,6 +359,12 @@ def test_validate_flags_timestamp_regression():
     scene = Scene("bad", (_plain_frame(0, 5.0), _plain_frame(1, 2.0)))
     rules = {v.rule for v in validate_scene(scene)}
     assert "timestamp_order" in rules
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_validate_flags_non_finite_timestamp(value):
+    scene = Scene("bad", (_plain_frame(0, 5.0), _plain_frame(1, value), _plain_frame(2, 1.0)))
+    hits = [v.message for v in validate_scene(scene) if v.rule == "timestamp_order"]
+    assert f"timestamp {value} is not a finite number" in hits
 
 def test_validate_flags_duplicate_ids():
     scene = Scene("bad", (_plain_frame(0, ids=("a", "a")),))

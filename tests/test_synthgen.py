@@ -108,7 +108,7 @@ class TestSceneShape:
 
     def test_no_distractors(self):
         scene, _, _ = generate_scene(ScenarioSpec(STOPPING_FOR_CROSSER, seed=3, n_distractors=0))
-        assert scene.object_ids == {EGO_ID, "ped"}
+        assert {s.object_id for frame in scene.frames for s in frame.objects} == {EGO_ID, "ped"}
 
 
 class TestPlantedChains:
