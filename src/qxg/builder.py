@@ -235,10 +235,7 @@ class Builder:
             states.append(
                 (s.object_id, x.lo, x.hi, y.lo, y.hi, cx, cy, last_center.get(s.object_id))
             )
-        states.sort(key=lambda st: st[0])
-        for a, b in zip(states, states[1:]):
-            if a[0] == b[0]:
-                raise ValueError(f"frame {frame.index} holds object {a[0]!r} twice")
+        states.sort(key=lambda st: st[0])  # ids are distinct strings: Frame checks them
         for s in frame.objects:
             node_classes.setdefault(s.object_id, s.obj_class)
 

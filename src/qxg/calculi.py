@@ -57,6 +57,15 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        if type(self.lo) is not float or type(self.hi) is not float:
+            # an int endpoint is stored as the float a trace would read back
+            ends = (self.lo, self.hi)
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ends):
+                raise ValueError(f"interval endpoints must be numbers, got [{self.lo!r}, {self.hi!r}]")
+            if not all(abs(v) <= sys.float_info.max for v in ends):  # also an int past float range
+                raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
+            object.__setattr__(self, "lo", float(self.lo))
+            object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .defs import KINDS, MAX_CHAIN_LENGTH, Hyperparams, UnknownAction, replace_from_json
+from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, UnknownAction, replace_from_json
 from .scene import CauseRecord, TraceError, load_trace, serialize_scene
 
 # explainer, synthgen and bench load inside the handlers that call them.
@@ -53,6 +53,8 @@ class AppConfig:
     def __post_init__(self) -> None:
         if not (type(self.t) is type(self.seed) is int and isinstance(self.out, (str, type(None)))):
             raise ValueError(f"t and seed must be integers and out a string or null: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_app_config(path: str | Path) -> AppConfig:
@@ -297,6 +299,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _tree_count(text: str) -> int:
+    value = _int(text)
+    if not 1 <= value <= MAX_TREES:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_TREES}, got {value}")
+    return value
+
+
 def _chain_length(text: str) -> int:
     value = _int(text)
     if not 1 <= value <= MAX_CHAIN_LENGTH:
@@ -357,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"distractor objects per scene, 0..{MAX_DISTRACTORS}; cost grows with the square",
     )
     p.add_argument("--jitter", type=_finite_float, default=0.1, help="observation noise sigma (m)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", default="traces", help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -374,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="model file (default: model.json)")
     p.add_argument("--t", type=_chain_length, help=f"chain window length, 1..{MAX_CHAIN_LENGTH}")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-trees", type=_positive_int, dest="n_trees")
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--n-trees", type=_tree_count, dest="n_trees", help=f"trees per action, 1..{MAX_TREES}")
     p.add_argument("--max-depth", type=_positive_int, dest="max_depth")
     p.add_argument("--min-samples-leaf", type=_positive_int, dest="min_samples_leaf")
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
@@ -404,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time push_frame on dense synthetic crowds")
     p.add_argument("--objects", type=_crowd_size, default=160)
     p.add_argument("--frames", type=_positive_int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--scaling", type=_size_list, help="fit cost ~ k^e over sizes, e.g. 20,40,80,160")
     p.set_defaults(func=cmd_bench)
 

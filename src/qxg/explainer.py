@@ -803,8 +803,8 @@ def model_from_json(data: bytes | str) -> Model:
         empty = sorted(action for action, trees in forests.items() if not trees)
         if empty:
             raise CorruptModel(f"no trees for {empty}")
-        if type(payload["seed"]) is not int:
-            raise CorruptModel(f"seed {payload['seed']!r} is not an integer")
+        if type(payload["seed"]) is not int or payload["seed"] < 0:
+            raise CorruptModel(f"seed {payload['seed']!r} is not a non-negative integer")
         model = Model(payload["seed"], spec, cfg, hp, forests)
     except CorruptModel:
         raise

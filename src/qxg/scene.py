@@ -11,6 +11,14 @@ in increasing frame order, then (or interleaved) annotation lines:
 
 ``cause`` lines are optional ground-truth markers used by the synthetic
 corpus; ``"none"`` means the annotated action had no single causal object.
+
+``Frame`` and ``Scene`` check the trace rules when they are constructed, so a
+scene built in memory obeys the rules a trace on disk does, and
+``serialize_scene`` can write any ``Scene``.  They raise ``SchemaViolation``
+(a mistyped field, a non-finite timestamp, an id twice in one frame, no
+frames) or ``OrderingViolation`` (frame indices not strictly increasing,
+timestamps decreasing); ``load_trace`` raises the same errors with the line
+number added.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ __all__ = [
     "Scene",
     "ActionAnnotation",
     "CauseRecord",
-    "Violation",
     "TraceError",
     "MalformedLine",
     "SchemaViolation",
@@ -38,7 +45,6 @@ __all__ = [
     "DanglingAnnotation",
     "load_trace",
     "serialize_scene",
-    "validate_scene",
 ]
 
 NO_CAUSE = "none"
@@ -50,10 +56,15 @@ class TraceError(ValueError):
     """Base class for everything the trace parser can complain about."""
 
     def __init__(self, message: str, line_no: int | None = None):
+        self.message = message
         self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+    def at(self, line_no: int) -> "TraceError":
+        """The same fault, reported at trace line ``line_no``."""
+        return type(self)(self.message, line_no)
 
 
 class MalformedLine(TraceError):
@@ -83,11 +94,55 @@ class ObjectState:
         return self.bbox.center
 
 
+def _typed(key: str, value, kind):
+    """``value`` if it has the type the trace format gives field ``key``,
+    else ``SchemaViolation``.  A float field takes a finite int or float
+    and returns it as a float."""
+    # bool is an int subclass; a frame index of `true` should not slip through
+    if kind is int and isinstance(value, bool):
+        raise SchemaViolation(f"field {key!r} must be an integer, got {value!r}")
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SchemaViolation(f"field {key!r} must be a number, got {value!r}")
+        # NaN, ±Infinity or an int past float range; NaN would pass every order check
+        if not abs(value) <= sys.float_info.max:
+            raise SchemaViolation(f"field {key!r} must be a finite number, got {value!r}")
+        return float(value)
+    if not isinstance(value, kind):
+        raise SchemaViolation(f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Frame:
     index: int
     timestamp: float
     objects: tuple[ObjectState, ...]
+
+    def __post_init__(self) -> None:
+        # the type() tests are fast paths; _typed states each rule
+        if type(self.index) is not int:
+            _typed("index", self.index, int)
+        if type(self.timestamp) is not float or not abs(self.timestamp) <= sys.float_info.max:
+            object.__setattr__(self, "timestamp", _typed("timestamp", self.timestamp, float))
+        objects = self.objects
+        if type(objects) is not tuple:
+            _typed("objects", objects, tuple)
+        for state in objects:
+            if type(state) is not ObjectState:
+                raise SchemaViolation(f"objects entries must be ObjectState, got {state!r}")
+            if type(state.object_id) is not str:
+                _typed("id", state.object_id, str)
+            if type(state.obj_class) is not str:
+                _typed("class", state.obj_class, str)
+        if len({state.object_id for state in objects}) != len(objects):
+            seen: set[str] = set()
+            for state in objects:
+                if state.object_id in seen:
+                    raise SchemaViolation(
+                        f"object id {state.object_id!r} appears twice in frame {self.index}"
+                    )
+                seen.add(state.object_id)
 
     def get(self, object_id: str) -> ObjectState | None:
         for state in self.objects:
@@ -96,10 +151,31 @@ class Frame:
         return None
 
 
+def _check_order(last: Frame, frame: Frame) -> None:
+    """``frame`` may follow ``last``: a larger index, no earlier timestamp."""
+    if frame.index <= last.index:
+        raise OrderingViolation(
+            f"frame index {frame.index} after {last.index}; indices must strictly increase"
+        )
+    if frame.timestamp < last.timestamp:
+        raise OrderingViolation(f"timestamp {frame.timestamp} before {last.timestamp}")
+
+
 @dataclass(frozen=True)
 class Scene:
     scene_id: str
     frames: tuple[Frame, ...]
+
+    def __post_init__(self) -> None:
+        _typed("scene_id", self.scene_id, str)
+        frames = _typed("frames", self.frames, tuple)
+        if not frames:
+            raise SchemaViolation("trace has no frames")
+        for frame in frames:
+            if type(frame) is not Frame:
+                raise SchemaViolation(f"frames entries must be Frame, got {frame!r}")
+        for last, frame in zip(frames, frames[1:]):
+            _check_order(last, frame)
 
     def frame_at(self, index: int) -> Frame | None:
         for fr in self.frames:
@@ -124,33 +200,16 @@ class CauseRecord:
     cause_id: str  # NO_CAUSE when the action has no causal object
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    message: str
-    frame_index: int | None = None
-    object_id: str | None = None
-
-
 def _require(record: dict, key: str, kind, line_no: int):
     if key not in record:
         raise SchemaViolation(f"missing field {key!r}", line_no)
     value = record[key]
-    # bool is an int subclass; a frame index of `true` should not slip through
-    if kind is int and isinstance(value, bool):
-        raise SchemaViolation(f"field {key!r} must be an integer, got {value!r}", line_no)
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolation(f"field {key!r} must be a number, got {value!r}", line_no)
-        # NaN, ±Infinity or an int past float range; NaN would pass every order check
-        if not abs(value) <= sys.float_info.max:
-            raise SchemaViolation(f"field {key!r} must be a finite number, got {value!r}", line_no)
-        return float(value)
-    if not isinstance(value, kind):
-        raise SchemaViolation(
-            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}", line_no
-        )
-    return value
+    if type(value) is kind and kind is not float:
+        return value
+    try:
+        return _typed(key, value, kind)
+    except SchemaViolation as exc:
+        raise exc.at(line_no) from None
 
 
 def _parse_interval(raw, axis: str, line_no: int) -> Interval:
@@ -243,25 +302,12 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
             timestamp = _require(record, "timestamp", float, line_no)
             objects_raw = _require(record, "objects", list, line_no)
             states = tuple(_parse_object(o, line_no) for o in objects_raw)
-            seen: set[str] = set()
-            for state in states:
-                if state.object_id in seen:
-                    raise SchemaViolation(
-                        f"object id {state.object_id!r} appears twice in frame {index}", line_no
-                    )
-                seen.add(state.object_id)
-            if frames:
-                last = frames[-1]
-                if index <= last.index:
-                    raise OrderingViolation(
-                        f"frame index {index} after {last.index}; indices must strictly increase",
-                        line_no,
-                    )
-                if timestamp < last.timestamp:
-                    raise OrderingViolation(
-                        f"timestamp {timestamp} before {last.timestamp}", line_no
-                    )
-            frame = Frame(index, timestamp, states)
+            try:
+                frame = Frame(index, timestamp, states)
+                if frames:
+                    _check_order(frames[-1], frame)
+            except TraceError as exc:
+                raise exc.at(line_no) from None
             frames.append(frame)
             frame_lookup[index] = frame
         elif kind == "action":
@@ -289,8 +335,7 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
 
     if scene_id is None:
         raise SchemaViolation("trace has no header", line_no or None)
-    if not frames:
-        raise SchemaViolation("trace has no frames")
+    scene = Scene(scene_id, tuple(frames))  # refuses a trace with no frames
 
     for ann, at_line in raw_annotations:
         frame = frame_lookup.get(ann.frame_index)
@@ -314,7 +359,6 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
                 at_line,
             )
 
-    scene = Scene(scene_id, tuple(frames))
     return scene, [a for a, _ in raw_annotations], [c for c, _ in raw_causes]
 
 
@@ -374,47 +418,3 @@ def serialize_scene(
             )
         )
     return ("\n".join(out) + "\n").encode("utf-8")
-
-
-def validate_scene(scene: Scene) -> list[Violation]:
-    """Structural checks for scenes assembled in memory (the parser already
-    enforces all of this for traces read from disk)."""
-    violations: list[Violation] = []
-    if not scene.frames:
-        violations.append(Violation("frames", "scene has no frames"))
-    prev: Frame | None = None
-    for frame in scene.frames:
-        if not abs(frame.timestamp) <= sys.float_info.max:  # NaN passes the order check below
-            message = f"timestamp {frame.timestamp} is not a finite number"
-            violations.append(Violation("timestamp_order", message, frame_index=frame.index))
-        if prev is not None:
-            if frame.index <= prev.index:
-                violations.append(
-                    Violation(
-                        "frame_order",
-                        f"frame index {frame.index} follows {prev.index}",
-                        frame_index=frame.index,
-                    )
-                )
-            if frame.timestamp < prev.timestamp:
-                violations.append(
-                    Violation(
-                        "timestamp_order",
-                        f"timestamp {frame.timestamp} follows {prev.timestamp}",
-                        frame_index=frame.index,
-                    )
-                )
-        seen: set[str] = set()
-        for state in frame.objects:
-            if state.object_id in seen:
-                violations.append(
-                    Violation(
-                        "duplicate_object",
-                        f"object {state.object_id!r} appears twice",
-                        frame_index=frame.index,
-                        object_id=state.object_id,
-                    )
-                )
-            seen.add(state.object_id)
-        prev = frame
-    return violations

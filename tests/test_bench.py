@@ -6,14 +6,14 @@ from dataclasses import asdict
 import pytest
 
 from qxg.bench import BenchResult, crowd_frames, run_bench, run_scaling
-from qxg.scene import Scene, validate_scene
+from qxg.scene import Scene
 
 
 def test_crowd_frames_shape():
     frames = crowd_frames(7, 5, seed=1)
     assert len(frames) == 5
     assert all(len(f.objects) == 7 for f in frames)
-    assert validate_scene(Scene("x", tuple(frames))) == []
+    Scene("x", tuple(frames))  # refuses frames out of order
 
 
 def test_crowd_frames_deterministic():

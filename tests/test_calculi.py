@@ -155,6 +155,29 @@ def test_interval_validation():
     assert Interval(3.0, 3.0).mid == 3.0  # zero width is a point
 
 
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (True, 2.0, "must be numbers"),
+        (0.0, False, "must be numbers"),
+        ("a", "b", "must be numbers"),
+        (None, 1.0, "must be numbers"),
+        (0, 10**400, "must be finite"),
+        (-(10**400), 0, "must be finite"),
+    ],
+    ids=["bool-lo", "bool-hi", "str", "None", "huge-int", "huge-negative-int"],
+)
+def test_interval_refuses_non_number_endpoints(lo, hi, message):
+    with pytest.raises(ValueError, match=f"^interval endpoints {message}"):
+        Interval(lo, hi)
+
+
+def test_interval_stores_int_endpoints_as_floats():
+    interval = Interval(-2, 2**60)
+    assert (type(interval.lo), type(interval.hi)) == (float, float)
+    assert interval == Interval(-2.0, float(2**60))
+
+
 # ---------------------------------------------------------------------------
 # converses
 

@@ -11,8 +11,8 @@ import pytest
 
 from qxg.builder import build, import_graph
 from qxg.calculi import CalculiConfig
-from qxg.cli import AppConfig, load_app_config
-from qxg.defs import MAX_CHAIN_LENGTH, Hyperparams
+from qxg.cli import AppConfig, build_parser, load_app_config
+from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams
 from qxg.scene import CauseRecord, load_trace, serialize_scene
 from qxg.synthgen import generate_dataset, generate_scenes
 
@@ -541,6 +541,67 @@ def test_chain_length_is_bounded(corpus, manifest, model_file, tmp_path, source)
     assert "Traceback" not in over.stderr
     at_bound = run(MAX_CHAIN_LENGTH)
     assert at_bound.returncode == 0, at_bound.stderr
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "bench"])
+def test_negative_seed_flag_is_usage_error(corpus, tmp_path, command):
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["--scenes", "2", "--out", str(out)],
+        "train": ["--traces", str(corpus), "--out", str(out)],
+        "bench": ["--objects", "2", "--frames", "2"],
+    }[command]
+    result = run_cli(command, *argv, "--seed", "-1", timeout=10)
+    assert result.returncode == 2
+    assert "argument --seed: must be >= 0, got -1" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
+def test_negative_config_seed_refused_before_any_trace_is_read(corpus, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": -5}')
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--traces", str(corpus), "--config", str(config), "--out", str(out), timeout=10)
+    assert result.returncode == 1
+    assert result.stderr == f"error: train: config {config}: seed must be >= 0, got -5\n"
+    assert result.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "model"])
+def test_tree_count_is_bounded(corpus, manifest, model_file, tmp_path, source):
+    """n_trees above MAX_TREES is refused quickly from each source (a usage
+    error from the flag)."""
+    over = MAX_TREES + 1
+    if source == "model":
+        payload = json.loads(model_file.read_text())
+        payload["hyperparams"]["n_trees"] = over
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload))
+        entry = _entry(manifest, "StoppingForCrosser")
+        result = run_cli(
+            "explain", "--trace", str(corpus / entry["file"]), "--model", str(model),
+            "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
+            timeout=10,
+        )
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"hyperparams": {"n_trees": over}} if source == "config" else {}))
+        flags = ["--n-trees", str(over)] if source == "flag" else []
+        result = run_cli(
+            "train", "--traces", str(corpus), "--config", str(config), *flags,
+            "--out", str(tmp_path / "out.json"), timeout=10,
+        )
+    assert result.returncode == (2 if source == "flag" else 1)
+    assert f"must be in 1..{MAX_TREES}, got {over}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_tree_count_at_the_bound_is_accepted():
+    args = build_parser().parse_args(["train", "--traces", "t", "--n-trees", str(MAX_TREES)])
+    assert args.n_trees == MAX_TREES
+    assert Hyperparams(n_trees=MAX_TREES).n_trees == MAX_TREES
 
 
 class TestBench:

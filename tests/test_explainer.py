@@ -21,7 +21,7 @@ from qxg.calculi import (
     RelationTuple,
     Sector,
 )
-from qxg.defs import MAX_CHAIN_LENGTH
+from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES
 from qxg.explainer import (
     CorruptModel,
     Dataset,
@@ -849,6 +849,21 @@ class TestPersistence:
                 target = target[section]
             target[key] = value
         with pytest.raises(CorruptModel):
+            model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            (None, "seed", -1, "seed -1 is not a non-negative integer"),
+            ("hyperparams", "n_trees", MAX_TREES + 1, f"n_trees must be in 1..{MAX_TREES}, got {MAX_TREES + 1}"),
+        ],
+        ids=["negative-seed", "too-many-trees"],
+    )
+    def test_out_of_range_settings(self, mini_model, section, key, value, match):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        (payload[section] if section else payload)[key] = value
+        with pytest.raises(CorruptModel, match=match):
             model_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(

@@ -20,7 +20,8 @@ from qxg.cli import load_app_config
 from qxg.defs import STOPPING_FOR_CROSSER, Hyperparams
 from qxg.explainer import CorruptModel, VersionMismatch, build_dataset, model_from_json
 from qxg.explainer import model_to_json, train
-from qxg.scene import CauseRecord, TraceError, load_trace, serialize_scene
+from qxg.calculi import BBox2D, Interval
+from qxg.scene import CauseRecord, Frame, ObjectState, Scene, TraceError, load_trace, serialize_scene
 from qxg.synthgen import ScenarioSpec, generate_dataset, generate_scene
 
 FUZZ = settings(
@@ -159,6 +160,49 @@ def test_config_loader(config_path, data):
         load_app_config(config_path)
     except ValueError:
         pass
+
+
+# in-memory field values: each valid value is swapped, one time in twelve,
+# for an awkward one, so that most draws still build whole scenes
+AWKWARD = [None, True, False, 2**64, 10**400, -(10**400), math.nan, math.inf, -math.inf, "", "7", b"x", 2.5]
+COORDS = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+
+
+def _maybe_awkward(data, value):
+    return data.draw(st.sampled_from(AWKWARD)) if data.draw(st.integers(0, 11)) == 0 else value
+
+
+def _draw_object(data):
+    def interval():
+        lo, hi = sorted((data.draw(COORDS), data.draw(COORDS)))
+        return Interval(_maybe_awkward(data, lo), _maybe_awkward(data, hi))
+
+    object_id = _maybe_awkward(data, data.draw(st.text(max_size=2)))
+    obj_class = _maybe_awkward(data, data.draw(st.sampled_from(["car", "pedestrian"])))
+    return ObjectState(object_id, obj_class, BBox2D(interval(), interval()))
+
+
+@FUZZ
+@given(data=st.data())
+def test_in_memory_scene(data):
+    """Any scene that can be built round-trips byte for byte; any other
+    draw is refused with a TraceError or ValueError, never a bare
+    TypeError, AttributeError or OverflowError."""
+    index, timestamp = data.draw(st.integers(-3, 3)), data.draw(COORDS)
+    try:
+        frames = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            objects = tuple(_draw_object(data) for _ in range(data.draw(st.integers(0, 3))))
+            frames.append(Frame(_maybe_awkward(data, index), _maybe_awkward(data, timestamp), objects))
+            index += data.draw(st.integers(1, 3))
+            timestamp += data.draw(st.one_of(st.integers(0, 2), st.floats(0, 2)))
+        scene = Scene(_maybe_awkward(data, data.draw(st.text(max_size=3))), tuple(frames))
+    except ValueError:  # TraceError is one
+        return
+    blob = serialize_scene(scene)
+    restored, _, _ = load_trace(blob)
+    assert restored == scene
+    assert serialize_scene(restored) == blob
 
 
 def _load_config(blob, tmp_path):

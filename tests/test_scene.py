@@ -20,7 +20,6 @@ from qxg.scene import (
     SchemaViolation,
     load_trace,
     serialize_scene,
-    validate_scene,
 )
 
 HEADER = '{"type":"header","scene_id":"s0","version":1}'
@@ -336,7 +335,11 @@ def test_serialized_floats_keep_precision():
     assert restored.frames[0].objects[0].bbox == box
 
 
-# -- validate_scene -----------------------------------------------------------
+# -- construction-time checks ---------------------------------------------------
+#
+# Frame and Scene refuse what load_trace refuses, with its messages but no
+# line number, so every scene that exists can be written and read back.
+
 
 def _plain_frame(index, timestamp=None, ids=("ego",)):
     ts = float(index) if timestamp is None else timestamp
@@ -344,29 +347,110 @@ def _plain_frame(index, timestamp=None, ids=("ego",)):
     return Frame(index, ts, tuple(ObjectState(i, "car", box) for i in ids))
 
 
-def test_validate_accepts_well_formed_scene():
+def test_well_formed_scene_constructs_and_round_trips():
     scene = Scene("ok", (_plain_frame(0), _plain_frame(1), _plain_frame(4)))
-    assert validate_scene(scene) == []
+    blob = serialize_scene(scene)
+    assert serialize_scene(load_trace(blob)[0]) == blob
 
-def test_validate_flags_empty_scene():
-    assert [v.rule for v in validate_scene(Scene("empty", ()))] == ["frames"]
 
-def test_validate_flags_unsorted_frames():
-    scene = Scene("bad", (_plain_frame(3), _plain_frame(1)))
-    assert "frame_order" in {v.rule for v in validate_scene(scene)}
+def test_empty_scene_refused():
+    with pytest.raises(SchemaViolation, match="^trace has no frames$") as info:
+        Scene("empty", ())
+    assert info.value.line_no is None
 
-def test_validate_flags_timestamp_regression():
-    scene = Scene("bad", (_plain_frame(0, 5.0), _plain_frame(1, 2.0)))
-    rules = {v.rule for v in validate_scene(scene)}
-    assert "timestamp_order" in rules
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-def test_validate_flags_non_finite_timestamp(value):
-    scene = Scene("bad", (_plain_frame(0, 5.0), _plain_frame(1, value), _plain_frame(2, 1.0)))
-    hits = [v.message for v in validate_scene(scene) if v.rule == "timestamp_order"]
-    assert f"timestamp {value} is not a finite number" in hits
+@pytest.mark.parametrize("first, second", [(3, 1), (2, 2)], ids=["decreasing", "repeated"])
+def test_unsorted_frames_refused(first, second):
+    message = f"^frame index {second} after {first}; indices must strictly increase$"
+    with pytest.raises(OrderingViolation, match=message):
+        Scene("bad", (_plain_frame(first, 0.0), _plain_frame(second, 1.0)))
 
-def test_validate_flags_duplicate_ids():
-    scene = Scene("bad", (_plain_frame(0, ids=("a", "a")),))
-    hits = [v for v in validate_scene(scene) if v.rule == "duplicate_object"]
-    assert hits and hits[0].object_id == "a"
+
+def test_timestamp_regression_refused():
+    with pytest.raises(OrderingViolation, match="^timestamp 2.0 before 5.0$"):
+        Scene("bad", (_plain_frame(0, 5.0), _plain_frame(1, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (float("nan"), "must be a finite number, got nan"),
+        (float("inf"), "must be a finite number, got inf"),
+        (float("-inf"), "must be a finite number, got -inf"),
+        (10**400, f"must be a finite number, got {10**400}"),
+        (True, "must be a number, got True"),
+        ("0.5", "must be a number, got '0.5'"),
+        (None, "must be a number, got None"),
+    ],
+    ids=["nan", "inf", "-inf", "10**400", "bool", "str", "None"],
+)
+def test_non_finite_timestamp_refused(value, message):
+    with pytest.raises(SchemaViolation, match=f"^field 'timestamp' {message}$"):
+        Frame(0, value, ())
+
+
+def test_duplicate_ids_refused():
+    with pytest.raises(SchemaViolation, match="^object id 'a' appears twice in frame 0$") as info:
+        _plain_frame(0, ids=("a", "b", "a"))
+    assert info.value.line_no is None
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (1.5, "field 'index' must be int, got float"),
+        (True, "field 'index' must be an integer, got True"),
+        ("x", "field 'index' must be int, got str"),
+        (None, "field 'index' must be int, got NoneType"),
+    ],
+    ids=["float", "bool", "str", "None"],
+)
+def test_non_integer_frame_index_refused(index, message):
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        _plain_frame(index, 0.0)
+
+
+@pytest.mark.parametrize(
+    "ids, cls, message",
+    [
+        ((7,), "car", "field 'id' must be str, got int"),
+        (("a", None), "car", "field 'id' must be str, got NoneType"),
+        (("a",), 3, "field 'class' must be str, got int"),
+    ],
+    ids=["int-id", "None-id", "int-class"],
+)
+def test_non_string_id_or_class_refused(ids, cls, message):
+    box = BBox2D(Interval(0, 1), Interval(0, 1))
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        Frame(0, 0.0, tuple(ObjectState(i, cls, box) for i in ids))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Frame(0, 0.0, []), "field 'objects' must be tuple, got list"),
+        (lambda: Frame(0, 0.0, ("ego",)), "objects entries must be ObjectState, got 'ego'"),
+        (lambda: Scene("s", [_plain_frame(0)]), "field 'frames' must be tuple, got list"),
+        (lambda: Scene("s", (_plain_frame(0), 1)), "frames entries must be Frame, got 1"),
+    ],
+    ids=["objects-list", "objects-entry", "frames-list", "frames-entry"],
+)
+def test_containers_hold_value_types(make, message):
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("scene_id", [7, None, b"s"], ids=["int", "None", "bytes"])
+def test_non_string_scene_id_refused(scene_id):
+    with pytest.raises(SchemaViolation, match="^field 'scene_id' must be str, got "):
+        Scene(scene_id, (_plain_frame(0),))
+
+
+def test_int_timestamp_and_endpoints_are_stored_as_floats():
+    box = BBox2D(Interval(0, 1), Interval(-2, 3))
+    scene = Scene("ints", (Frame(0, 0, (ObjectState("o", "car", box),)), Frame(1, 2, ())))
+    assert [type(f.timestamp) for f in scene.frames] == [float, float]
+    assert {type(v) for v in (box.x.lo, box.x.hi, box.y.lo, box.y.hi)} == {float}
+    blob = serialize_scene(scene)
+    restored, _, _ = load_trace(blob)
+    assert restored == scene and serialize_scene(restored) == blob
