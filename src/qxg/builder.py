@@ -5,8 +5,10 @@ that shared at least one frame.  An edge carries the pair's relation history:
 for every co-occurrence frame, one four-component relation tuple.
 
 ``Builder.push_frame`` is the hot path and deliberately avoids the dataclass
-machinery in :mod:`qxg.calculi`: relations are computed with inline float
-comparisons and stored as packed integer codes.  The arithmetic (``hypot``
+machinery in :mod:`qxg.calculi`: it reads each box as four floats from
+``Frame.rows`` (the parsed columns of a frame from ``load_trace``, so no
+``ObjectState`` is built for it), and relations are computed with inline
+float comparisons and stored as packed integer codes.  The arithmetic (``hypot``
 distances, exact endpoint ties, half-open bands) is kept identical to the
 pure functions so the two code paths agree bit for bit; the test suite
 cross-checks them on random frames.
@@ -225,19 +227,15 @@ class Builder:
         graph_edges = self.graph.edges
         intern = self._codes.setdefault
 
-        # Unpack once; the pair loop below touches plain floats only.  Each
-        # object's last centre is read here too: it is only written after
-        # the pair loop.
+        # One pass over the frame's box rows; the pair loop below touches
+        # plain floats only.  Each object's last centre is read here too: it
+        # is only written after the pair loop.
         states = []
-        for s in frame.objects:
-            x, y = s.bbox.x, s.bbox.y
-            cx, cy = (x.lo + x.hi) / 2.0, (y.lo + y.hi) / 2.0
-            states.append(
-                (s.object_id, x.lo, x.hi, y.lo, y.hi, cx, cy, last_center.get(s.object_id))
-            )
+        for object_id, obj_class, (xl, xh, yl, yh) in frame.rows():
+            node_classes.setdefault(object_id, obj_class)
+            cx, cy = (xl + xh) / 2.0, (yl + yh) / 2.0
+            states.append((object_id, xl, xh, yl, yh, cx, cy, last_center.get(object_id)))
         states.sort(key=lambda st: st[0])  # ids are distinct strings: Frame checks them
-        for s in frame.objects:
-            node_classes.setdefault(s.object_id, s.obj_class)
 
         frame_index = frame.index
         pairs_updated = 0

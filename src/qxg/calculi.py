@@ -49,6 +49,20 @@ __all__ = [
 ]
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message.  An int too long for ``repr``
+    (past ``sys.get_int_max_str_digits()``) is named by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # a container holding such an int
+            return f"a {type(value).__name__} holding an int too long to show"
+        magnitude = abs(value)
+        digits = int(magnitude.bit_length() * math.log10(2))  # the count, or one short of it
+        digits += magnitude >= 10**digits
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval on one axis.  Zero width is allowed (a point)."""
@@ -61,9 +75,13 @@ class Interval:
             # an int endpoint is stored as the float a trace would read back
             ends = (self.lo, self.hi)
             if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ends):
-                raise ValueError(f"interval endpoints must be numbers, got [{self.lo!r}, {self.hi!r}]")
+                raise ValueError(
+                    f"interval endpoints must be numbers, got [{shown(self.lo)}, {shown(self.hi)}]"
+                )
             if not all(abs(v) <= sys.float_info.max for v in ends):  # also an int past float range
-                raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
+                raise ValueError(
+                    f"interval endpoints must be finite, got [{shown(self.lo)}, {shown(self.hi)}]"
+                )
             object.__setattr__(self, "lo", float(self.lo))
             object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):

@@ -15,10 +15,18 @@ corpus; ``"none"`` means the annotated action had no single causal object.
 ``Frame`` and ``Scene`` check the trace rules when they are constructed, so a
 scene built in memory obeys the rules a trace on disk does, and
 ``serialize_scene`` can write any ``Scene``.  They raise ``SchemaViolation``
-(a mistyped field, a non-finite timestamp, an id twice in one frame, no
-frames) or ``OrderingViolation`` (frame indices not strictly increasing,
-timestamps decreasing); ``load_trace`` raises the same errors with the line
-number added.
+(a mistyped field, an index outside signed 64-bit range, a non-finite
+timestamp, an id twice in one frame, no frames) or ``OrderingViolation``
+(frame indices not strictly increasing, timestamps decreasing);
+``load_trace`` raises the same errors with the line number added.
+
+``load_trace`` writes each frame straight into columns: the object ids, the
+classes, and one ``(x.lo, x.hi, y.lo, y.hi)`` float row per box.  It builds
+no ``Interval``, ``BBox2D`` or ``ObjectState``: ``Frame.rows`` hands
+``Builder.push_frame`` the columns, and a parsed frame builds its
+``objects`` the first time they are read, and only then.  A parsed frame
+equals, hashes, prints, pickles and copies like the same frame built from
+``ObjectState`` values.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
-from .calculi import BBox2D, Interval, Point2D
+from .calculi import BBox2D, Interval, Point2D, shown
 
 __all__ = [
     "NO_CAUSE",
@@ -50,6 +58,12 @@ __all__ = [
 NO_CAUSE = "none"
 
 TRACE_VERSION = 1
+
+# every integer field of a trace (a frame index, an annotation's frame, the
+# version) is a signed 64-bit integer, as other readers of the format hold it
+_INT64 = range(-(2**63), 2**63)
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class TraceError(ValueError):
@@ -96,59 +110,119 @@ class ObjectState:
 
 def _typed(key: str, value, kind):
     """``value`` if it has the type the trace format gives field ``key``,
-    else ``SchemaViolation``.  A float field takes a finite int or float
-    and returns it as a float."""
+    else ``SchemaViolation``.  An int field takes a signed 64-bit int; a
+    float field takes a finite int or float and returns it as a float."""
     # bool is an int subclass; a frame index of `true` should not slip through
     if kind is int and isinstance(value, bool):
         raise SchemaViolation(f"field {key!r} must be an integer, got {value!r}")
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolation(f"field {key!r} must be a number, got {value!r}")
+            raise SchemaViolation(f"field {key!r} must be a number, got {shown(value)}")
         # NaN, ±Infinity or an int past float range; NaN would pass every order check
-        if not abs(value) <= sys.float_info.max:
-            raise SchemaViolation(f"field {key!r} must be a finite number, got {value!r}")
+        if not abs(value) <= _FLOAT_MAX:
+            raise SchemaViolation(f"field {key!r} must be a finite number, got {shown(value)}")
         return float(value)
     if not isinstance(value, kind):
         raise SchemaViolation(f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    if kind is int and value not in _INT64:
+        raise SchemaViolation(f"field {key!r} must be a signed 64-bit integer, got {shown(value)}")
     return value
+
+
+class _Columns:
+    """A parsed frame's objects before anyone reads them: the ids, the
+    classes and one ``(x.lo, x.hi, y.lo, y.hi)`` float row per box."""
+
+    __slots__ = ("ids", "classes", "rows")
+
+    def __init__(self, ids: list[str], classes: list[str], rows: list[tuple]):
+        self.ids = ids
+        self.classes = classes
+        self.rows = rows
+
+    def objects(self) -> tuple[ObjectState, ...]:
+        return tuple(
+            ObjectState(object_id, obj_class, BBox2D(Interval(xl, xh), Interval(yl, yh)))
+            for object_id, obj_class, (xl, xh, yl, yh) in zip(self.ids, self.classes, self.rows)
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class Frame:
     index: int
     timestamp: float
-    objects: tuple[ObjectState, ...]
+    objects: tuple[ObjectState, ...]  # a parsed frame builds these on first read
 
     def __post_init__(self) -> None:
         # the type() tests are fast paths; _typed states each rule
-        if type(self.index) is not int:
+        if type(self.index) is not int or self.index not in _INT64:
             _typed("index", self.index, int)
-        if type(self.timestamp) is not float or not abs(self.timestamp) <= sys.float_info.max:
+        if type(self.timestamp) is not float or not abs(self.timestamp) <= _FLOAT_MAX:
             object.__setattr__(self, "timestamp", _typed("timestamp", self.timestamp, float))
-        objects = self.objects
-        if type(objects) is not tuple:
-            _typed("objects", objects, tuple)
-        for state in objects:
-            if type(state) is not ObjectState:
-                raise SchemaViolation(f"objects entries must be ObjectState, got {state!r}")
-            if type(state.object_id) is not str:
-                _typed("id", state.object_id, str)
-            if type(state.obj_class) is not str:
-                _typed("class", state.obj_class, str)
-        if len({state.object_id for state in objects}) != len(objects):
-            seen: set[str] = set()
+        objects = _objects_slot.__get__(self)
+        if type(objects) is _Columns:
+            ids = objects.ids  # load_trace typed each id and class
+        else:
+            if type(objects) is not tuple:
+                _typed("objects", objects, tuple)
             for state in objects:
-                if state.object_id in seen:
+                if type(state) is not ObjectState:
                     raise SchemaViolation(
-                        f"object id {state.object_id!r} appears twice in frame {self.index}"
+                        f"objects entries must be ObjectState, got {shown(state)}"
                     )
-                seen.add(state.object_id)
+                if type(state.object_id) is not str:
+                    _typed("id", state.object_id, str)
+                if type(state.obj_class) is not str:
+                    _typed("class", state.obj_class, str)
+            ids = [state.object_id for state in objects]
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for object_id in ids:
+                if object_id in seen:
+                    raise SchemaViolation(
+                        f"object id {object_id!r} appears twice in frame {self.index}"
+                    )
+                seen.add(object_id)
+
+    def rows(self) -> Iterable[tuple[str, str, tuple[float, float, float, float]]]:
+        """Each object as ``(id, class, (x.lo, x.hi, y.lo, y.hi))``, in
+        frame order.  A parsed frame reads its columns and builds no
+        ``ObjectState``; a built one derives the rows as they are read."""
+        objects = _objects_slot.__get__(self)
+        if type(objects) is _Columns:
+            return zip(objects.ids, objects.classes, objects.rows)
+        return (
+            (s.object_id, s.obj_class, (s.bbox.x.lo, s.bbox.x.hi, s.bbox.y.lo, s.bbox.y.hi))
+            for s in objects
+        )
 
     def get(self, object_id: str) -> ObjectState | None:
         for state in self.objects:
             if state.object_id == object_id:
                 return state
         return None
+
+
+# The slot the dataclass made for ``objects``, and the descriptor that takes
+# its place on the class: a read of ``frame.objects`` (by callers, ``==``,
+# ``hash``, ``repr``, ``dataclasses.replace`` or pickling) builds a parsed
+# frame's ObjectStates once and keeps them in the slot instead of the columns.
+_objects_slot = Frame.objects
+
+
+class _ObjectsOnFirstRead:
+    def __get__(self, frame, owner=None):
+        objects = _objects_slot.__get__(frame, owner)
+        if type(objects) is _Columns:
+            objects = objects.objects()
+            _objects_slot.__set__(frame, objects)
+        return objects
+
+    def __set__(self, frame, value):
+        _objects_slot.__set__(frame, value)
+
+
+Frame.objects = _ObjectsOnFirstRead()
 
 
 def _check_order(last: Frame, frame: Frame) -> None:
@@ -173,7 +247,7 @@ class Scene:
             raise SchemaViolation("trace has no frames")
         for frame in frames:
             if type(frame) is not Frame:
-                raise SchemaViolation(f"frames entries must be Frame, got {frame!r}")
+                raise SchemaViolation(f"frames entries must be Frame, got {shown(frame)}")
         for last, frame in zip(frames, frames[1:]):
             _check_order(last, frame)
 
@@ -203,11 +277,8 @@ class CauseRecord:
 def _require(record: dict, key: str, kind, line_no: int):
     if key not in record:
         raise SchemaViolation(f"missing field {key!r}", line_no)
-    value = record[key]
-    if type(value) is kind and kind is not float:
-        return value
     try:
-        return _typed(key, value, kind)
+        return _typed(key, record[key], kind)
     except SchemaViolation as exc:
         raise exc.at(line_no) from None
 
@@ -225,23 +296,25 @@ def _parse_interval(raw, axis: str, line_no: int) -> Interval:
         raise SchemaViolation(f"bbox {axis}: {exc}", line_no) from None
 
 
-def _parse_object(raw, line_no: int) -> ObjectState:
+def _parse_object(raw, line_no: int) -> tuple[str, str, tuple[float, float, float, float]]:
+    """One ``objects`` entry as ``(id, class, box row)``, each rule checked
+    and stated; ``load_trace`` comes here for what its fast path refuses."""
     if not isinstance(raw, dict):
         raise SchemaViolation(f"objects entries must be objects, got {raw!r}", line_no)
     object_id = _require(raw, "id", str, line_no)
     obj_class = _require(raw, "class", str, line_no)
     bbox = _require(raw, "bbox", dict, line_no)
-    box = BBox2D(
-        _parse_interval(bbox.get("x"), "x", line_no),
-        _parse_interval(bbox.get("y"), "y", line_no),
-    )
-    return ObjectState(object_id, obj_class, box)
+    x = _parse_interval(bbox.get("x"), "x", line_no)
+    y = _parse_interval(bbox.get("y"), "y", line_no)
+    return object_id, obj_class, (x.lo, x.hi, y.lo, y.hi)
 
 
 TraceInput = Union[str, bytes, IO]
 
 
 def _iter_lines(data: TraceInput) -> Iterable[str]:
+    if not isinstance(data, (str, bytes)):
+        data = data.read()  # a text or binary stream: split as the str or bytes it holds
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -250,11 +323,9 @@ def _iter_lines(data: TraceInput) -> Iterable[str]:
             head = data[: exc.start]
             line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
-    if isinstance(data, str):
-        # split as a text file does, at \n, \r\n or a lone \r: JSON strings
-        # may hold U+2028, U+2029 or U+0085 raw, and str.splitlines cuts there
-        data = io.StringIO(data, newline=None)
-    return (line.rstrip("\n") for line in data)
+    # split as a text file does, at \n, \r\n or a lone \r: JSON strings
+    # may hold U+2028, U+2029 or U+0085 raw, and str.splitlines cuts there
+    return (line.rstrip("\n") for line in io.StringIO(data, newline=None))
 
 
 def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[CauseRecord]]:
@@ -265,7 +336,7 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
     """
     scene_id: str | None = None
     frames: list[Frame] = []
-    frame_lookup: dict[int, Frame] = {}
+    frame_ids: dict[int, list[str]] = {}
     raw_annotations: list[tuple[ActionAnnotation, int]] = []
     raw_causes: list[tuple[CauseRecord, int]] = []
 
@@ -300,16 +371,37 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
                 raise SchemaViolation("frame before header", line_no)
             index = _require(record, "index", int, line_no)
             timestamp = _require(record, "timestamp", float, line_no)
-            objects_raw = _require(record, "objects", list, line_no)
-            states = tuple(_parse_object(o, line_no) for o in objects_raw)
+            ids: list[str] = []
+            classes: list[str] = []
+            rows: list[tuple[float, float, float, float]] = []
+            for raw in _require(record, "objects", list, line_no):
+                # the fast path: string id and class, a box of four finite
+                # in-order floats; _parse_object states every rule
+                try:
+                    object_id, obj_class, bbox = raw["id"], raw["class"], raw["bbox"]
+                    (xl, xh), (yl, yh) = bbox["x"], bbox["y"]
+                    fast = (
+                        type(object_id) is str
+                        and type(obj_class) is str
+                        and type(xl) is type(xh) is type(yl) is type(yh) is float
+                        and -_FLOAT_MAX <= xl <= xh <= _FLOAT_MAX
+                        and -_FLOAT_MAX <= yl <= yh <= _FLOAT_MAX
+                    )
+                except (KeyError, TypeError, ValueError):  # not a dict, a key missing, not a pair
+                    fast = False
+                if not fast:
+                    object_id, obj_class, (xl, xh, yl, yh) = _parse_object(raw, line_no)
+                ids.append(object_id)
+                classes.append(obj_class)
+                rows.append((xl, xh, yl, yh))
             try:
-                frame = Frame(index, timestamp, states)
+                frame = Frame(index, timestamp, _Columns(ids, classes, rows))
                 if frames:
                     _check_order(frames[-1], frame)
             except TraceError as exc:
                 raise exc.at(line_no) from None
             frames.append(frame)
-            frame_lookup[index] = frame
+            frame_ids[index] = ids
         elif kind == "action":
             if scene_id is None:
                 raise SchemaViolation("action before header", line_no)
@@ -337,27 +429,20 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
         raise SchemaViolation("trace has no header", line_no or None)
     scene = Scene(scene_id, tuple(frames))  # refuses a trace with no frames
 
-    for ann, at_line in raw_annotations:
-        frame = frame_lookup.get(ann.frame_index)
-        if frame is None:
-            raise DanglingAnnotation(f"action refers to missing frame {ann.frame_index}", at_line)
-        if frame.get(ann.actor_id) is None:
-            raise DanglingAnnotation(
-                f"actor {ann.actor_id!r} is not present in frame {ann.frame_index}", at_line
-            )
-    for cause, at_line in raw_causes:
-        frame = frame_lookup.get(cause.frame_index)
-        if frame is None:
-            raise DanglingAnnotation(f"cause refers to missing frame {cause.frame_index}", at_line)
-        if frame.get(cause.actor_id) is None:
-            raise DanglingAnnotation(
-                f"actor {cause.actor_id!r} is not present in frame {cause.frame_index}", at_line
-            )
-        if cause.cause_id != NO_CAUSE and frame.get(cause.cause_id) is None:
-            raise DanglingAnnotation(
-                f"cause object {cause.cause_id!r} is not present in frame {cause.frame_index}",
-                at_line,
-            )
+    for kind, records in (("action", raw_annotations), ("cause", raw_causes)):
+        for record, at_line in records:
+            ids = frame_ids.get(record.frame_index)
+            if ids is None:
+                raise DanglingAnnotation(f"{kind} refers to missing frame {record.frame_index}", at_line)
+            if record.actor_id not in ids:
+                raise DanglingAnnotation(
+                    f"actor {record.actor_id!r} is not present in frame {record.frame_index}", at_line
+                )
+            if kind == "cause" and record.cause_id != NO_CAUSE and record.cause_id not in ids:
+                raise DanglingAnnotation(
+                    f"cause object {record.cause_id!r} is not present in frame {record.frame_index}",
+                    at_line,
+                )
 
     return scene, [a for a, _ in raw_annotations], [c for c, _ in raw_causes]
 

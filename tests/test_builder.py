@@ -8,6 +8,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qxg.calculi import (
     Allen,
@@ -33,7 +35,7 @@ from qxg.builder import (
     relation_code,
     relation_to_dict,
 )
-from qxg.scene import Frame, ObjectState, Scene, SchemaViolation
+from qxg.scene import Frame, ObjectState, Scene, SchemaViolation, load_trace, serialize_scene
 
 
 def _state(oid, cx, cy, w=2.0, h=2.0, cls="car"):
@@ -481,3 +483,36 @@ class TestStorage:
         assert history == EdgeHistory([4], [700]) and len(history) == 1
         with pytest.raises(AttributeError):
             history.extra = 1
+
+
+# near coordinates, half of them whole, so boxes overlap and endpoints tie
+_near = st.one_of(st.integers(-6, 6).map(float), st.floats(-20, 20, allow_nan=False))
+
+
+@st.composite
+def _near_scenes(draw):
+    frames = []
+    for index in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+        states = []
+        for oid in ids:
+            (x1, x2), (y1, y2) = sorted((draw(_near), draw(_near))), sorted((draw(_near), draw(_near)))
+            states.append(ObjectState(oid, draw(st.sampled_from(["car", "pedestrian"])), BBox2D.from_bounds(x1, x2, y1, y2)))
+        frames.append(Frame(index, index * 0.5, tuple(states)))
+    return Scene("near", tuple(frames))
+
+
+@given(_near_scenes(), st.data())
+@settings(max_examples=80)
+def test_parsed_and_constructed_frames_build_equal_graphs(scene, data):
+    """push_frame gives the same graph from a parsed frame's box rows as
+    from the frame's ObjectStates, and from a parsed frame whose objects
+    have already been read."""
+    blob = serialize_scene(scene)
+    want = export_graph(build(scene))
+    assert export_graph(build(load_trace(blob)[0])) == want
+    touched, _, _ = load_trace(blob)
+    for got, built in zip(touched.frames, scene.frames):
+        if data.draw(st.booleans()):  # this first read builds the ObjectStates
+            assert got.objects == built.objects
+    assert export_graph(build(touched)) == want

@@ -172,6 +172,17 @@ def test_interval_refuses_non_number_endpoints(lo, hi, message):
         Interval(lo, hi)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, shown",
+    [(10**5000, 1.0, "an int of 5001 digits, 1.0"), (-(10**5000), 0, "a negative int of 5001 digits, 0")],
+    ids=["positive", "negative"],
+)
+def test_interval_names_an_int_too_long_to_print_by_its_digits(lo, hi, shown):
+    # past the interpreter's int-to-string limit repr() itself raises ValueError
+    with pytest.raises(ValueError, match=rf"^interval endpoints must be finite, got \[{shown}\]$"):
+        Interval(lo, hi)
+
+
 def test_interval_stores_int_endpoints_as_floats():
     interval = Interval(-2, 2**60)
     assert (type(interval.lo), type(interval.hi)) == (float, float)

@@ -21,7 +21,9 @@ from qxg.defs import STOPPING_FOR_CROSSER, Hyperparams
 from qxg.explainer import CorruptModel, VersionMismatch, build_dataset, model_from_json
 from qxg.explainer import model_to_json, train
 from qxg.calculi import BBox2D, Interval
-from qxg.scene import CauseRecord, Frame, ObjectState, Scene, TraceError, load_trace, serialize_scene
+from qxg.scene import ActionAnnotation, CauseRecord, DanglingAnnotation, Frame, MalformedLine
+from qxg.scene import NO_CAUSE, ObjectState, Scene, SchemaViolation, TraceError, load_trace, serialize_scene
+from qxg.scene import TRACE_VERSION, _check_order, _iter_lines, _require
 from qxg.synthgen import ScenarioSpec, generate_dataset, generate_scene
 
 FUZZ = settings(
@@ -130,6 +132,143 @@ def test_trace_loader(trace_blob, data):
         load_trace(blob)
     except TraceError:
         pass
+
+
+# -- a per-object trace parser, the reference for load_trace ----------------
+#
+# Every box becomes an Interval pair, a BBox2D and an ObjectState, checked by
+# their constructors, and each annotation is checked with Frame.get.  The field
+# rules (_require) and the line splitting are qxg.scene's own.  load_trace
+# parses boxes into float rows instead, and must agree with this on every
+# input: the same scene, or the same error, message and line.
+
+
+def _reference_interval(raw, axis, line_no):
+    if (
+        not isinstance(raw, list)
+        or len(raw) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
+    ):
+        raise SchemaViolation(f"bbox {axis} must be a [lo, hi] number pair, got {raw!r}", line_no)
+    try:
+        return Interval(float(raw[0]), float(raw[1]))
+    except (ValueError, OverflowError) as exc:
+        raise SchemaViolation(f"bbox {axis}: {exc}", line_no) from None
+
+
+def _reference_object(raw, line_no):
+    if not isinstance(raw, dict):
+        raise SchemaViolation(f"objects entries must be objects, got {raw!r}", line_no)
+    object_id = _require(raw, "id", str, line_no)
+    obj_class = _require(raw, "class", str, line_no)
+    bbox = _require(raw, "bbox", dict, line_no)
+    box = BBox2D(_reference_interval(bbox.get("x"), "x", line_no), _reference_interval(bbox.get("y"), "y", line_no))
+    return ObjectState(object_id, obj_class, box)
+
+
+def reference_load_trace(data):
+    scene_id, frames, frame_lookup, annotations, causes = None, [], {}, [], []
+    line_no = 0
+    for line in _iter_lines(data):
+        line_no += 1
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(f"not valid JSON ({exc.msg})", line_no) from None
+        except (ValueError, RecursionError) as exc:
+            raise MalformedLine(f"not valid JSON ({exc})", line_no) from None
+        if not isinstance(record, dict):
+            raise MalformedLine("expected a JSON object", line_no)
+        kind = record.get("type")
+        if kind == "header":
+            if scene_id is not None:
+                raise SchemaViolation("duplicate header", line_no)
+            if frames:
+                raise SchemaViolation("header must be the first record", line_no)
+            version = _require(record, "version", int, line_no)
+            if version != TRACE_VERSION:
+                raise SchemaViolation(f"unsupported trace version {version} (expected {TRACE_VERSION})", line_no)
+            scene_id = _require(record, "scene_id", str, line_no)
+        elif kind == "frame":
+            if scene_id is None:
+                raise SchemaViolation("frame before header", line_no)
+            index = _require(record, "index", int, line_no)
+            timestamp = _require(record, "timestamp", float, line_no)
+            states = tuple(_reference_object(o, line_no) for o in _require(record, "objects", list, line_no))
+            try:
+                frame = Frame(index, timestamp, states)
+                if frames:
+                    _check_order(frames[-1], frame)
+            except TraceError as exc:
+                raise exc.at(line_no) from None
+            frames.append(frame)
+            frame_lookup[index] = frame
+        elif kind in ("action", "cause"):
+            if scene_id is None:
+                raise SchemaViolation(f"{kind} before header", line_no)
+            make, last = (ActionAnnotation, "action") if kind == "action" else (CauseRecord, "cause")
+            fields = [_require(record, key, want, line_no) for key, want in (("frame", int), ("actor", str), (last, str))]
+            (annotations if kind == "action" else causes).append((make(scene_id, *fields), line_no))
+        else:
+            raise SchemaViolation(f"unknown record type {kind!r}", line_no)
+    if scene_id is None:
+        raise SchemaViolation("trace has no header", line_no or None)
+    scene = Scene(scene_id, tuple(frames))
+    for kind, records in (("action", annotations), ("cause", causes)):
+        for record, at_line in records:
+            frame = frame_lookup.get(record.frame_index)
+            if frame is None:
+                raise DanglingAnnotation(f"{kind} refers to missing frame {record.frame_index}", at_line)
+            if frame.get(record.actor_id) is None:
+                raise DanglingAnnotation(
+                    f"actor {record.actor_id!r} is not present in frame {record.frame_index}", at_line
+                )
+            if kind == "cause" and record.cause_id != NO_CAUSE and frame.get(record.cause_id) is None:
+                raise DanglingAnnotation(
+                    f"cause object {record.cause_id!r} is not present in frame {record.frame_index}", at_line
+                )
+    return scene, [a for a, _ in annotations], [c for c, _ in causes]
+
+
+# box endpoints that reach each branch of the box checks: finite floats on
+# either side of the trace's coordinates, signed zero, ints, an int past
+# float range, non-finite numbers and non-numbers
+ENDPOINTS = [-1e308, -2.5, -0.0, 0.0, 2.5, 1e308, 7, -(10**400), math.nan, -math.inf, True, False, None, "1"]
+
+
+def _edit_endpoints(blob, data):
+    """Set one to four box endpoints of the trace's frame lines."""
+    lines = blob.split(b"\n")
+    for _ in range(data.draw(st.integers(1, 4))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        doc = json.loads(lines[k]) if lines[k] else None
+        if not (isinstance(doc, dict) and doc.get("objects")):
+            continue
+        box = data.draw(st.sampled_from(doc["objects"]))["bbox"]
+        box[data.draw(st.sampled_from("xy"))][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(ENDPOINTS))
+        lines[k] = json.dumps(doc).encode("utf-8")
+    return b"\n".join(lines)
+
+
+def _outcome(parse, blob):
+    try:
+        return parse(blob)
+    except TraceError as exc:
+        return type(exc), str(exc), exc.line_no
+
+
+def test_reference_parser_reads_the_seed_trace(trace_blob):
+    assert reference_load_trace(trace_blob) == load_trace(trace_blob)
+
+
+@FUZZ
+@given(data=st.data())
+def test_trace_loader_agrees_with_per_object_reference(trace_blob, data):
+    edit = data.draw(st.sampled_from([_edit_endpoints, lambda blob, data: _mutate(blob, data, lines=True)]))
+    blob = edit(trace_blob, data)
+    assert _outcome(load_trace, blob) == _outcome(reference_load_trace, blob)
 
 
 @FUZZ

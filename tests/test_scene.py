@@ -1,11 +1,16 @@
 """Trace parsing, serialization, and validation."""
 
+import copy
+import dataclasses
+import io
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qxg.builder import build, export_graph
 from qxg.calculi import BBox2D, Interval
 from qxg.scene import (
     NO_CAUSE,
@@ -454,3 +459,122 @@ def test_int_timestamp_and_endpoints_are_stored_as_floats():
     blob = serialize_scene(scene)
     restored, _, _ = load_trace(blob)
     assert restored == scene and serialize_scene(restored) == blob
+
+
+# -- integers past 64 bits --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "index, shown",
+    [(2**63, str(2**63)), (-(2**63) - 1, str(-(2**63) - 1)), (10**5000, "an int of 5001 digits")],
+    ids=["2**63", "-2**63-1", "10**5000"],
+)
+def test_frame_index_is_signed_64_bit(index, shown):
+    # an index past 4300 digits used to build a Scene that serialize_scene
+    # could not write
+    with pytest.raises(SchemaViolation, match=f"^field 'index' must be a signed 64-bit integer, got {shown}$"):
+        Scene("s", (Frame(index, 0.0, ()),))
+
+
+def test_frame_index_bounds_are_accepted():
+    scene = Scene("s", (_plain_frame(-(2**63), 0.0), _plain_frame(2**63 - 1, 1.0)))
+    assert load_trace(serialize_scene(scene))[0] == scene
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Frame(0, 10**5000, ()), "field 'timestamp' must be a finite number, got an int of 5001 digits"),
+        (lambda: Frame(0, 0.0, (10**5000,)), "objects entries must be ObjectState, got an int of 5001 digits"),
+        (
+            lambda: Scene("s", ((-(10**5000),),)),
+            "frames entries must be Frame, got a tuple holding an int too long to show",
+        ),
+    ],
+    ids=["timestamp", "objects-entry", "frames-entry"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_digits(make, message):
+    with pytest.raises(SchemaViolation, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        (_frame_line(2**63, 0.0, [_obj("ego")]), "index"),
+        ('{"type":"action","frame":9223372036854775808,"actor":"ego","action":"Stopping"}', "frame"),
+        ('{"type":"cause","frame":-9223372036854775809,"actor":"ego","cause":"none"}', "frame"),
+    ],
+    ids=["frame", "action", "cause"],
+)
+def test_trace_integers_are_signed_64_bit(line, field):
+    with pytest.raises(SchemaViolation, match=f"^line 3: field '{field}' must be a signed 64-bit integer"):
+        load_trace(_trace(HEADER, _frame_line(0, 0.0, [_obj("ego")]), line))
+
+
+# -- binary streams ----------------------------------------------------------------
+
+
+def test_binary_streams_are_read_as_bytes(tmp_path):
+    raw = _trace(HEADER, _frame_line(0, 0.0, [_obj("ego")]), _frame_line(1, 0.5, [_obj("ego")])).encode()
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(raw)
+    with open(path, "rb") as fh:
+        from_file = load_trace(fh)
+    assert load_trace(io.BytesIO(raw)) == from_file == load_trace(raw)
+
+
+def test_invalid_utf8_in_a_binary_stream_names_its_line():
+    blob = _trace(HEADER, _frame_line(0, 0.0, [_obj("ego")])).encode() + b"\xfb" + _frame_line(1, 0.5, []).encode()
+    with pytest.raises(MalformedLine, match=r"^line 3: not valid UTF-8 \(invalid start byte\)$"):
+        load_trace(io.BytesIO(blob))
+
+
+# -- the columnar parse ------------------------------------------------------------
+#
+# load_trace keeps each frame's boxes as float rows; a frame's ObjectStates
+# are built on first read and must be the value a constructed frame holds.
+
+
+def _annotated_scene():
+    box = lambda x, y: BBox2D(Interval(x, x + 1.5), Interval(y, y + 0.25))  # noqa: E731
+    frames = tuple(
+        Frame(i, i * 0.5, (ObjectState("ego", "car", box(0.5 * i, 0.0)), ObjectState("ped", "pedestrian", box(3.0, -i))))
+        for i in range(3)
+    )
+    scene = Scene("cols", frames)
+    return scene, [ActionAnnotation("cols", 2, "ego", "Stopping")], [CauseRecord("cols", 2, "ego", "ped")]
+
+
+def test_load_trace_builds_no_per_box_objects(monkeypatch):
+    scene, annotations, causes = _annotated_scene()
+    blob = serialize_scene(scene, annotations, causes)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"load_trace or push_frame built a {type(self).__name__}")
+
+    for kind in (ObjectState, BBox2D, Interval):
+        monkeypatch.setattr(kind, "__init__", refuse)
+    parsed, got_annotations, got_causes = load_trace(blob)
+    graph = export_graph(build(parsed))
+    monkeypatch.undo()
+    assert (parsed, got_annotations, got_causes) == (scene, annotations, causes)
+    assert graph == export_graph(build(scene))
+
+
+READS = {
+    "eq": lambda frame: frame,
+    "hash": hash,
+    "repr": repr,
+    "replace": lambda frame: dataclasses.replace(frame, timestamp=frame.timestamp + 1.0),
+    "pickle": lambda frame: pickle.loads(pickle.dumps(frame)),
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_parsed_frames_act_as_the_frames_they_encode(read):
+    # a fresh parse each time, so that this read is the frame's first
+    scene, _, _ = _annotated_scene()
+    parsed, _, _ = load_trace(serialize_scene(scene))
+    assert [READS[read](frame) for frame in parsed.frames] == [READS[read](frame) for frame in scene.frames]
