@@ -16,7 +16,6 @@ from .builder import Builder
 from .calculi import BBox2D, Interval
 from .scene import Frame, ObjectState
 
-DEFAULT_SIZES = (20, 40, 80, 160)
 AREA = 150.0  # side of the square the crowd walks in, m
 STEP = 0.6  # per-frame step sigma, m
 WARMUP = 3  # frames pushed before timing starts
@@ -93,9 +92,7 @@ class ScalingReport:
     exponent: float
 
 
-def run_scaling(
-    sizes: tuple[int, ...] = DEFAULT_SIZES, n_frames: int = 30, seed: int = 0
-) -> ScalingReport:
+def run_scaling(sizes: tuple[int, ...], n_frames: int = 30, seed: int = 0) -> ScalingReport:
     """Fit median cost ~ k^e over the given crowd sizes.
 
     A pure pairwise loop should land near e = 2; the slope comes from a

@@ -156,8 +156,6 @@ class QXG:
         ``at_frame``, in ascending frame order, oriented as a-against-b."""
         if a == b:
             raise ValueError(f"a pair needs two distinct objects, got {a!r} twice")
-        if t <= 0:
-            return []
         key = (a, b) if a < b else (b, a)
         history = self.edges.get(key)
         if history is None:
@@ -461,16 +459,13 @@ def export_graph(graph: QXG, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown export format {fmt!r} (expected 'json' or 'dot')")
 
 
-def import_graph(data: Union[str, bytes, dict]) -> QXG:
-    if isinstance(data, (str, bytes)):
-        try:
-            payload = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a serialized scene graph: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:  # nested too deep, too many int digits
-            raise ValueError(f"not a serialized scene graph: {exc}") from None
-    else:
-        payload = data
+def import_graph(data: Union[str, bytes]) -> QXG:
+    try:
+        payload = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a serialized scene graph: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # nested too deep, too many int digits
+        raise ValueError(f"not a serialized scene graph: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("not a serialized scene graph: expected a JSON object")
     return graph_from_dict(payload)

@@ -212,7 +212,8 @@ def cmd_explain(args) -> int:
 
     model = load_model(args.model)
     scene, _, _ = _read_trace(args.trace)
-    if not any(frame.get(args.actor) for frame in scene.frames):
+    # the ids come from the rows, so that no frame builds its ObjectStates
+    if not any(oid == args.actor for frame in scene.frames for oid, _, _ in frame.rows()):
         raise ValueError(f"unknown actor {args.actor!r} in {scene.scene_id}")
     if scene.frame_at(args.frame) is None:
         raise ValueError(f"frame {args.frame} is not in {scene.scene_id}")
@@ -284,59 +285,29 @@ def cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _int(text: str) -> int:
-    # argparse names the type function in its message for a ValueError
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for an integer in ``lo..hi``, or ``>= lo`` without ``hi``."""
+
+    def parse(text: str) -> int:
+        # argparse names the type function in its message for a ValueError
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if hi is None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _tree_count(text: str) -> int:
-    value = _int(text)
-    if not 1 <= value <= MAX_TREES:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_TREES}, got {value}")
-    return value
-
-
-def _chain_length(text: str) -> int:
-    value = _int(text)
-    if not 1 <= value <= MAX_CHAIN_LENGTH:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_CHAIN_LENGTH}, got {value}")
-    return value
-
-
-def _crowd_size(text: str) -> int:
-    value = _int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 objects, got {value}")
-    return value
-
+_crowd_size = _int_in(2)
 
 # Generation cost grows with the square of the object count: on a 2-vCPU VM,
 # 2 scenes take 0.4 s at 50 distractors, 1 s at 200 and over a minute at 3200.
 MAX_DISTRACTORS = 200
-
-
-def _distractor_count(text: str) -> int:
-    value = _int(text)
-    if not 0 <= value <= MAX_DISTRACTORS:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DISTRACTORS}, got {value}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -364,16 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write synthetic trace files + a corpus manifest")
-    p.add_argument("--scenes", type=_positive_int, required=True, help="number of scenes")
+    p.add_argument("--scenes", type=_int_in(1), required=True, help="number of scenes")
     p.add_argument("--kind", choices=KINDS, help="single scenario kind (default: mixed)")
     p.add_argument(
         "--distractors",
-        type=_distractor_count,
+        type=_int_in(0, MAX_DISTRACTORS),
         default=4,
         help=f"distractor objects per scene, 0..{MAX_DISTRACTORS}; cost grows with the square",
     )
     p.add_argument("--jitter", type=_finite_float, default=0.1, help="observation noise sigma (m)")
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--seed", type=_int_in(0), default=42)
     p.add_argument("--out", default="traces", help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -389,11 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory of .jsonl traces")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="model file (default: model.json)")
-    p.add_argument("--t", type=_chain_length, help=f"chain window length, 1..{MAX_CHAIN_LENGTH}")
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--n-trees", type=_tree_count, dest="n_trees", help=f"trees per action, 1..{MAX_TREES}")
-    p.add_argument("--max-depth", type=_positive_int, dest="max_depth")
-    p.add_argument("--min-samples-leaf", type=_positive_int, dest="min_samples_leaf")
+    p.add_argument(
+        "--t", type=_int_in(1, MAX_CHAIN_LENGTH), help=f"chain window length, 1..{MAX_CHAIN_LENGTH}"
+    )
+    p.add_argument("--seed", type=_int_in(0))
+    p.add_argument(
+        "--n-trees", type=_int_in(1, MAX_TREES), dest="n_trees", help=f"trees per action, 1..{MAX_TREES}"
+    )
+    p.add_argument("--max-depth", type=_int_in(1), dest="max_depth")
+    p.add_argument("--min-samples-leaf", type=_int_in(1), dest="min_samples_leaf")
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -403,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", type=int, required=True)
     p.add_argument("--actor", required=True)
     p.add_argument("--action", required=True)
-    p.add_argument("--top-k", type=_positive_int, dest="top_k")
+    p.add_argument("--top-k", type=_int_in(1), dest="top_k")
     p.add_argument("--threshold", type=_finite_float)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_explain)
@@ -419,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time push_frame on dense synthetic crowds")
     p.add_argument("--objects", type=_crowd_size, default=160)
-    p.add_argument("--frames", type=_positive_int, default=30)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--frames", type=_int_in(1), default=30)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--scaling", type=_size_list, help="fit cost ~ k^e over sizes, e.g. 20,40,80,160")
     p.set_defaults(func=cmd_bench)
 

@@ -51,7 +51,6 @@ __all__ = [
     "Hyperparams",
     "Tree",
     "Model",
-    "EmptyAction",
     "InsufficientData",
     "UnknownAction",
     "LengthMismatch",
@@ -77,10 +76,6 @@ __all__ = [
 ]
 
 MODEL_VERSION = 1
-
-
-class EmptyAction(ValueError):
-    """A requested action label has no positive examples in the dataset."""
 
 
 class InsufficientData(ValueError):
@@ -408,39 +403,30 @@ def train(
     dataset: Dataset,
     seed: int = 42,
     hyperparams: Hyperparams = Hyperparams(),
-    actions: Sequence[str] | None = None,
 ) -> Model:
-    """Fit one forest per action.
+    """Fit one forest per action label in the dataset.
 
     Per tree (with ``balance``): draw as many negatives as there are
     positives (with replacement only when negatives are scarce), pool with
     all positives, then bootstrap the pool.  Seeds come from per-action and
     per-tree spawns of the master seed, in sorted action order, so results
-    do not depend on dict ordering or on training actions one at a time.
+    do not depend on dict ordering.
     """
     import numpy as np
 
     n = len(dataset)
     if n == 0:
         raise InsufficientData("dataset has no rows")
-    if actions is None:
-        actions = sorted(set(dataset.labels))
-    else:
-        actions = list(actions)
-        missing = [a for a in actions if a not in set(dataset.labels)]
-        if missing:
-            raise EmptyAction(f"no positive examples for {missing}")
+    actions = sorted(set(dataset.labels))
 
     y_all = np.asarray(dataset.labels)
     X = dataset.X
     forests: dict[str, list[Tree]] = {}
     action_seeds = np.random.SeedSequence(seed).spawn(len(actions))
-    for action, action_seed in zip(sorted(actions), action_seeds):
+    for action, action_seed in zip(actions, action_seeds):
         y = y_all == action
         pos_rows = np.flatnonzero(y)
         neg_rows = np.flatnonzero(~y)
-        if pos_rows.size == 0:
-            raise EmptyAction(f"no positive examples for {action!r}")
         if neg_rows.size == 0:
             # A corpus holding a single action label has nothing to contrast
             # against; the forest degenerates to constant-1.0 leaves.
@@ -542,6 +528,12 @@ def _check_threshold(threshold: float | None) -> None:
         raise ValueError(f"threshold must be a finite number, got {threshold}")
 
 
+def _check_k(k: int | None) -> None:
+    # a negative slice drops from the end, and True slices as 1
+    if k is not None and (type(k) is not int or k < 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def explain(
     model: Model,
     graph: QXG,
@@ -563,6 +555,7 @@ def explain(
     if action not in model.forests:
         raise UnknownAction(action)
     _check_threshold(threshold)
+    _check_k(k)
     trees = model.forests[action]
     samples = extract_features(graph, actor, at_frame, model.spec)
     walked = [_walk_forest(trees, frozenset(s.bits)) for s in samples]

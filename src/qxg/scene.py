@@ -313,16 +313,17 @@ TraceInput = Union[str, bytes, IO]
 
 
 def _iter_lines(data: TraceInput) -> Iterable[str]:
-    if not isinstance(data, (str, bytes)):
-        data = data.read()  # a text or binary stream: split as the str or bytes it holds
-    if isinstance(data, bytes):
-        try:
+    try:
+        if not isinstance(data, (str, bytes)):
+            data = data.read()  # a text or binary stream: split as the str or bytes it holds
+        if isinstance(data, bytes):
             data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # count the breaks the split below makes: \n, \r\n and a lone \r
-            head = data[: exc.start]
-            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
+    except UnicodeDecodeError as exc:
+        # the bytes being decoded, from this decode or a text stream's read;
+        # count the breaks the split below makes: \n, \r\n and a lone \r
+        head = exc.object[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedLine(f"not valid UTF-8 ({exc.reason})", line_no) from None
     # split as a text file does, at \n, \r\n or a lone \r: JSON strings
     # may hold U+2028, U+2029 or U+0085 raw, and str.splitlines cuts there
     return (line.rstrip("\n") for line in io.StringIO(data, newline=None))

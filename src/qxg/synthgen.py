@@ -71,20 +71,15 @@ ACTION_FOR_KIND = {
 
 EGO_ID = "ego"
 
+_N_FRAMES = 12  # frames per scene
 _WINDOW = 5  # frames per relation chain, matching the default encoder
 _MARGIN = 0.5  # metres of slack demanded around every relation boundary
+_PLACEMENT_TRIES = 200  # draws of one distractor before giving up
 
 # box half-extents (x, y): cars are 2 x 4.5 along their travel direction
 _CAR_NS = (1.0, 2.25)
 _CAR_EW = (2.25, 1.0)
 _HALF_BY_CLASS = {"car": _CAR_NS, "pedestrian": (0.3, 0.3), "cyclist": (0.4, 0.9)}
-
-_MIN_FRAMES = {
-    STOPPING_FOR_CROSSER: 9,
-    LEAD_VEHICLE_BRAKING: 12,
-    CLEAR_CRUISE: 6,
-    GAP_ACCELERATE: 6,
-}
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,6 @@ class ScenarioSpec:
     rotation."""
 
     kind: str
-    n_frames: int = 12
     n_distractors: int = 4
     jitter_sigma: float = 0.1
     seed: int = 0
@@ -106,12 +100,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; choose from {KINDS}")
-        if self.n_frames < 6:
-            raise ValueError(f"scenes need at least 6 frames, got {self.n_frames}")
-        if self.n_frames < _MIN_FRAMES[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs at least {_MIN_FRAMES[self.kind]} frames, got {self.n_frames}"
-            )
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be non-negative")
         if not (isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
@@ -220,8 +208,8 @@ def _margins_ok(ego: _Track, other: _Track, window: range) -> bool:
     return True
 
 
-def _draw_until_safe(draw, ego: _Track, window: range, limit: int = 200) -> _Track:
-    for _ in range(limit):
+def _draw_until_safe(draw, ego: _Track, window: range) -> _Track:
+    for _ in range(_PLACEMENT_TRIES):
         candidate = draw()
         if _margins_ok(ego, candidate, window):
             return candidate
@@ -259,7 +247,7 @@ def _exiter(rng: random.Random, last_frame: int, obj_class: str) -> _Track:
 
 
 def _build_tracks(spec: ScenarioSpec, rng: random.Random) -> tuple[dict[str, _Track], str, int]:
-    n = spec.n_frames
+    n = _N_FRAMES
     ego_ys = _ego_ys(spec.kind, n)
     ann = _annotation_frame(spec.kind, n)
     window = range(ann - _WINDOW + 1, ann + 1)
@@ -330,13 +318,10 @@ def _build_tracks(spec: ScenarioSpec, rng: random.Random) -> tuple[dict[str, _Tr
 
 
 def _assemble(
-    scene_id: str,
-    tracks: dict[str, _Track],
-    n_frames: int,
-    offsets: dict[str, tuple[float, float]],
+    scene_id: str, tracks: dict[str, _Track], offsets: dict[str, tuple[float, float]]
 ) -> Scene:
     frames = []
-    for f in range(n_frames):
+    for f in range(_N_FRAMES):
         states = []
         for oid, track in tracks.items():
             if f not in track.pos:
@@ -361,7 +346,7 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
     tracks, cause, ann_frame = _build_tracks(spec, rng)
     scene_id = f"{spec.kind}-{spec.seed:x}"
 
-    clean = _assemble(scene_id, tracks, spec.n_frames, {})
+    clean = _assemble(scene_id, tracks, {})
     if spec.jitter_sigma == 0.0:
         scene = clean
     else:
@@ -373,7 +358,7 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
                 oid: (rng.gauss(0.0, spec.jitter_sigma), rng.gauss(0.0, spec.jitter_sigma))
                 for oid in tracks
             }
-            scene = _assemble(scene_id, tracks, spec.n_frames, offsets)
+            scene = _assemble(scene_id, tracks, offsets)
             if build(scene).window_chains(EGO_ID, ann_frame, _WINDOW) == reference:
                 break
         else:
@@ -417,10 +402,6 @@ def _round_robin(
     return items
 
 
-def _base_spec(base: ScenarioSpec | None) -> ScenarioSpec:
-    return base if base is not None else ScenarioSpec(CLEAR_CRUISE)
-
-
 def generate_scenes(
     n_scenes: int,
     base_spec: ScenarioSpec | None = None,
@@ -431,28 +412,24 @@ def generate_scenes(
     ``kind`` when given, else the kinds interleaved round-robin.  The
     mixed list is a prefix of :func:`generate_dataset`'s for that seed."""
     seeds = np.random.SeedSequence(master_seed).generate_state(n_scenes, dtype=np.uint64)
-    return _round_robin(n_scenes, _base_spec(base_spec), seeds, kind)
+    base = base_spec if base_spec is not None else ScenarioSpec(CLEAR_CRUISE)
+    return _round_robin(n_scenes, base, seeds, kind)
 
 
 def generate_dataset(
-    n_per_kind: int, base_spec: ScenarioSpec | None = None, master_seed: int = 42
+    n_per_kind: int, master_seed: int = 42
 ) -> list[tuple[Scene, ActionAnnotation, GroundTruth]]:
     """A mixed list of scenes, kinds interleaved round-robin, with all scene
     seeds derived from one master seed."""
-    return generate_scenes(4 * n_per_kind, base_spec, master_seed)
+    return generate_scenes(4 * n_per_kind, master_seed=master_seed)
 
 
-def generate_corpus(
-    n_train_per_kind: int,
-    n_test_per_kind: int,
-    base_spec: ScenarioSpec | None = None,
-    master_seed: int = 42,
-):
+def generate_corpus(n_train_per_kind: int, n_test_per_kind: int, master_seed: int = 42):
     """Disjoint train and test scene lists with exact per-kind counts.  The
     two halves draw from independent seed streams spawned off the master
     seed, so they never share a scene."""
     train_ss, test_ss = np.random.SeedSequence(master_seed).spawn(2)
-    base = _base_spec(base_spec)
+    base = ScenarioSpec(CLEAR_CRUISE)
     n_train, n_test = 4 * n_train_per_kind, 4 * n_test_per_kind
     train = _round_robin(n_train, base, train_ss.generate_state(n_train, dtype=np.uint64))
     test = _round_robin(n_test, base, test_ss.generate_state(n_test, dtype=np.uint64))
@@ -460,15 +437,15 @@ def generate_corpus(
 
 
 def split_scenes(items: Iterable, train_fraction: float = 0.7):
-    """Stable hash split by scene id: membership depends only on the id, so
+    """Stable hash split of ``(scene, ...)`` items by scene id: membership
+    depends only on the id, so
     regenerating or reordering a corpus never moves a scene across the
     boundary."""
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError(f"train_fraction must be within [0, 1], got {train_fraction}")
     train, test = [], []
     for item in items:
-        scene = item[0] if isinstance(item, tuple) else item
-        digest = hashlib.sha256(scene.scene_id.encode("utf-8")).digest()
+        digest = hashlib.sha256(item[0].scene_id.encode("utf-8")).digest()
         share = int.from_bytes(digest[:8], "big") / 2**64
         (train if share < train_fraction else test).append(item)
     return train, test

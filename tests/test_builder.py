@@ -397,7 +397,7 @@ class TestSerialization:
         else:
             relations[2]["frame"] = 2.0
         with pytest.raises(ValueError, match=match):
-            import_graph(payload)
+            import_graph(json.dumps(payload))
 
 
 def test_empty_frames_are_harmless():

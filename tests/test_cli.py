@@ -1,4 +1,4 @@
-"""End-to-end checks of the command-line interface via subprocesses."""
+"""End-to-end checks of the command-line interface, mostly via subprocesses."""
 
 import json
 import os
@@ -10,10 +10,10 @@ import sys
 import pytest
 
 from qxg.builder import build, import_graph
-from qxg.calculi import CalculiConfig
-from qxg.cli import AppConfig, build_parser, load_app_config
+from qxg.calculi import BBox2D, CalculiConfig, Interval
+from qxg.cli import AppConfig, build_parser, load_app_config, main
 from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams
-from qxg.scene import CauseRecord, load_trace, serialize_scene
+from qxg.scene import CauseRecord, ObjectState, load_trace, serialize_scene
 from qxg.synthgen import generate_dataset, generate_scenes
 
 
@@ -319,6 +319,30 @@ class TestExplain:
         first, _ = self._explain(corpus, manifest, model_file, "GapAccelerate")
         second, _ = self._explain(corpus, manifest, model_file, "GapAccelerate")
         assert first.stdout == second.stdout
+
+    def test_builds_no_per_box_objects(self, corpus, manifest, model_file, monkeypatch, capsysbinary):
+        # in-process, so that the patched box types are the ones the handler meets
+        entry = _entry(manifest, "StoppingForCrosser")
+        argv = [
+            "explain",
+            "--trace", str(corpus / entry["file"]),
+            "--model", str(model_file),
+            "--frame", str(entry["frame"]),
+            "--actor", entry["actor"],
+            "--action", entry["action"],
+        ]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"qxg explain built a {type(self).__name__}")
+
+        for kind in (ObjectState, BBox2D, Interval):
+            monkeypatch.setattr(kind, "__init__", refuse)
+        assert main(argv) == 0
+        patched = capsysbinary.readouterr().out
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert patched == capsysbinary.readouterr().out
+        assert json.loads(patched)["candidates"]
 
     def test_unknown_actor(self, corpus, manifest, model_file):
         entry = _entry(manifest, "StoppingForCrosser")

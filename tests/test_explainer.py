@@ -25,7 +25,6 @@ from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES
 from qxg.explainer import (
     CorruptModel,
     Dataset,
-    EmptyAction,
     EmptyTestSet,
     EncodingSpec,
     Hyperparams,
@@ -474,11 +473,6 @@ class TestTraining:
         assert model.actions == ["Idle"]
         assert all(s == 1.0 for s in predict_scores(model, dataset.X)["Idle"])
 
-    def test_unknown_requested_action(self):
-        dataset = build_dataset(_mini_corpus(4), t=4)
-        with pytest.raises(EmptyAction):
-            train(dataset, actions=["Chase", "Swerving"])
-
     def test_hyperparam_validation(self):
         for fields in (
             {"n_trees": 0},
@@ -616,6 +610,14 @@ class TestExplain:
         scene, ann = _mini_scene(996, "Chase")
         with pytest.raises(ValueError, match="threshold must be a finite number"):
             explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", threshold=threshold)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, False, "2"])
+    def test_k_must_be_a_positive_integer(self, mini_model, k):
+        # a negative k would drop the last candidates, and True would act as 1
+        model, _ = mini_model
+        scene, ann = _mini_scene(996, "Chase")
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got "):
+            explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", k=k)
 
     def test_unknown_action(self, mini_model):
         model, _ = mini_model

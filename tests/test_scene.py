@@ -530,6 +530,15 @@ def test_invalid_utf8_in_a_binary_stream_names_its_line():
         load_trace(io.BytesIO(blob))
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_invalid_utf8_in_a_text_stream_names_its_line(tmp_path, sep):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes((HEADER + sep).encode() + b"\xfb" + _frame_line(0, 0.0, []).encode() + b"\n")
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(MalformedLine, match=r"^line 2: not valid UTF-8 \(invalid start byte\)$"):
+            load_trace(fh)
+
+
 # -- the columnar parse ------------------------------------------------------------
 #
 # load_trace keeps each frame's boxes as float rows; a frame's ObjectStates

@@ -209,9 +209,6 @@ class TestSpecValidation:
         "kwargs",
         [
             dict(kind="Teleporting"),
-            dict(kind=CLEAR_CRUISE, n_frames=5),
-            dict(kind=STOPPING_FOR_CROSSER, n_frames=8),
-            dict(kind=LEAD_VEHICLE_BRAKING, n_frames=11),
             dict(kind=CLEAR_CRUISE, n_distractors=-1),
             dict(kind=CLEAR_CRUISE, jitter_sigma=-0.5),
             dict(kind=CLEAR_CRUISE, cruise_twin="l99"),
@@ -223,12 +220,6 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
-
-    def test_longer_scenes_work(self):
-        for kind in KINDS:
-            scene, ann, _ = generate_scene(ScenarioSpec(kind, n_frames=16, seed=1))
-            assert len(scene.frames) == 16
-            assert ann.frame_index in (12, 15)
 
 
 class TestCorpusPlumbing:
