@@ -13,6 +13,16 @@ distances, exact endpoint ties, half-open bands) is kept identical to the
 pure functions so the two code paths agree bit for bit; the test suite
 cross-checks them on random frames.
 
+Per pair the loop does each piece of work once.  The gap between the two
+previous centres is computed once and serves both motion signs, and the
+distance band reuses the sector's ``dx, dy``: ``hypot`` ignores the signs of
+its arguments and ``a - b`` is exactly ``-(b - a)`` in IEEE arithmetic, so
+``hypot(b - a, ...)`` is the oracle's ``hypot(a - b, ...)`` to the last bit.
+A builder-private row index (smaller id, then larger id, to the pair's
+``EdgeHistory``) finds a pair's history without building a tuple key;
+``graph.edges`` stays the one public store and is written only when a pair
+is first seen.
+
 A scene holds few distinct codes (about 1,300 in a 160-object crowd over 200
 frames, against 2.5 M stored relations), so each graph interns its codes:
 equal codes are one shared ``int`` object, and a stored relation costs two
@@ -25,6 +35,7 @@ import json
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import hypot
 from typing import Union
 
@@ -90,7 +101,13 @@ def unpack_code(code, n_bands: int) -> tuple:
 _ALLEN_CONVERSE = tuple(int(converse_allen(r)) for r in Allen)
 _SECTOR_CONVERSE = tuple(int(converse_star4(s)) for s in Sector)
 
+# How many codes there are with the default bands.  The memos below map codes
+# (and band names) to values, so they keep no graph alive, and this bounds
+# each of them.
+_CODE_SPACE = 13 * 13 * 4 * 4 * len(DEFAULT_CONFIG.qdc_band_names) * 4
 
+
+@lru_cache(maxsize=_CODE_SPACE)
 def converse_code(code: int, n_bands: int) -> int:
     """The code of ``converse_tuple(decode(code))``, component by
     component: both interval relations and the sector are mirrored, the
@@ -143,13 +160,7 @@ class QXG:
     edges: dict[tuple[str, str], EdgeHistory] = field(default_factory=dict)
 
     def decode(self, code: int) -> RelationTuple:
-        ax, ay, am, bm, band, sector = unpack_code(code, len(self.band_names))
-        return RelationTuple(
-            RARelation(Allen(ax), Allen(ay)),
-            QTCBRelation(Motion(am), Motion(bm)),
-            QDCRelation(band, self.band_names[band]),
-            Sector(sector),
-        )
+        return _decode(code, self.band_names)
 
     def code_chain(self, a: str, b: str, at_frame: int, t: int) -> list[tuple[int, int]]:
         """The last up-to-``t`` relation codes of the pair at or before
@@ -195,6 +206,18 @@ class QXG:
         return [(frame, self.decode(code)) for frame, code in self.code_chain(a, b, at_frame, t)]
 
 
+@lru_cache(maxsize=_CODE_SPACE)
+def _decode(code: int, band_names: tuple[str, ...]) -> RelationTuple:
+    """One code's relation tuple; equal codes share one (frozen) tuple."""
+    ax, ay, am, bm, band, sector = unpack_code(code, len(band_names))
+    return RelationTuple(
+        RARelation(Allen(ax), Allen(ay)),
+        QTCBRelation(Motion(am), Motion(bm)),
+        QDCRelation(band, band_names[band]),
+        Sector(sector),
+    )
+
+
 class Builder:
     """Feeds frames one at a time into a growing :class:`QXG`.
 
@@ -209,6 +232,9 @@ class Builder:
         self._last_center: dict[str, tuple[float, float]] = {}
         self._last_index: int | None = None
         self._codes: dict[int, int] = {}
+        # The histories of graph.edges again, by smaller id then larger id,
+        # so the pair loop finds one without building a tuple key.
+        self._edge_rows: dict[str, dict[str, EdgeHistory]] = {}
 
     def push_frame(self, frame: Frame) -> BuilderStats:
         t0 = time.perf_counter_ns()
@@ -223,6 +249,7 @@ class Builder:
         last_center = self._last_center
         node_classes = self.graph.node_classes
         graph_edges = self.graph.edges
+        edge_rows = self._edge_rows
         intern = self._codes.setdefault
 
         # One pass over the frame's box rows; the pair loop below touches
@@ -236,11 +263,13 @@ class Builder:
         states.sort(key=lambda st: st[0])  # ids are distinct strings: Frame checks them
 
         frame_index = frame.index
-        pairs_updated = 0
-        for i in range(len(states) - 1):
-            a_id, axl, axh, ayl, ayh, acx, acy, a_prev = states[i]
-            for j in range(i + 1, len(states)):
-                b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev = states[j]
+        for i, (a_id, axl, axh, ayl, ayh, acx, acy, a_prev) in enumerate(states):
+            if a_prev is not None:
+                apx, apy = a_prev
+            row = edge_rows.get(a_id)
+            if row is None:
+                row = edge_rows[a_id] = {}
+            for b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev in states[i + 1 :]:
 
                 # Interval relation per axis (exact endpoint ties).
                 if axh < bxl:
@@ -286,17 +315,18 @@ class Builder:
                 if a_prev is None or b_prev is None:
                     am = bm = 3
                 else:
-                    apx, apy = a_prev
+                    # One previous-centre gap serves both sides (see the
+                    # module docstring for why it is the oracle's bits).
                     bpx, bpy = b_prev
-                    a_delta = hypot(acx - bpx, acy - bpy) - hypot(apx - bpx, apy - bpy)
+                    gap = hypot(apx - bpx, apy - bpy)
+                    a_delta = hypot(acx - bpx, acy - bpy) - gap
                     am = 0 if a_delta < -eps else (2 if a_delta > eps else 1)
-                    b_delta = hypot(bcx - apx, bcy - apy) - hypot(bpx - apx, bpy - apy)
+                    b_delta = hypot(bcx - apx, bcy - apy) - gap
                     bm = 0 if b_delta < -eps else (2 if b_delta > eps else 1)
-
-                band = bisect_right(edges, hypot(acx - bcx, acy - bcy))
 
                 dx = bcx - acx
                 dy = bcy - acy
+                band = bisect_right(edges, hypot(dx, dy))
                 if dy > 0.0:
                     sector = 0 if dx >= 0.0 else 1
                 elif dy < 0.0:
@@ -311,18 +341,18 @@ class Builder:
                 # pack_code, inlined
                 code = ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
                 code = intern(code, code)
-                history = graph_edges.get((a_id, b_id))
+                history = row.get(b_id)
                 if history is None:
-                    history = graph_edges[(a_id, b_id)] = EdgeHistory()
+                    history = row[b_id] = graph_edges[(a_id, b_id)] = EdgeHistory()
                 history.frames.append(frame_index)
                 history.codes.append(code)
-                pairs_updated += 1
 
         for st in states:
             last_center[st[0]] = (st[5], st[6])
         self._last_index = frame_index
 
-        return BuilderStats(frame_index, len(states), pairs_updated, time.perf_counter_ns() - t0)
+        n = len(states)  # ids are distinct, so every pair was updated
+        return BuilderStats(frame_index, n, n * (n - 1) // 2, time.perf_counter_ns() - t0)
 
 
 def build(scene: Scene, cfg: CalculiConfig = DEFAULT_CONFIG) -> QXG:

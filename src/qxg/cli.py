@@ -320,6 +320,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
+    return value
+
+
 def _size_list(text: str) -> list[int]:
     sizes = [_crowd_size(part) for part in text.split(",") if part]
     if len(sizes) < 2:
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
-    p.add_argument("--train-fraction", type=float, default=0.7, dest="train_fraction")
+    p.add_argument("--train-fraction", type=_fraction, default=0.7, dest="train_fraction")
     p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)

@@ -22,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
@@ -123,7 +124,7 @@ class EncodingSpec:
         if not self.band_names:
             raise ValueError("need at least one distance band")
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The one-hot blocks of a slot as ``(name, labels)``, in
         ``unpack_code`` order; the missing flag follows the last block."""
@@ -136,32 +137,48 @@ class EncodingSpec:
             ("sector", SECTOR_LABELS),
         )
 
-    @property
+    @cached_property
     def slot_width(self) -> int:
         return sum(len(labels) for _, labels in self.blocks) + 1
 
-    @property
+    @cached_property
     def feature_len(self) -> int:
         return self.t * self.slot_width
+
+    @cached_property
+    def _code_bits(self) -> dict[int, tuple[int, ...]]:
+        """The bits each code met so far sets within a slot.  Only codes of
+        the spec's code space are kept, so it never grows past that."""
+        return {}
 
     def hot_bits(self, chain: Sequence[tuple[int, int]], at_frame: int) -> tuple[int, ...]:
         """The set feature indices of one chain of ``(frame, code)`` pairs
         (as produced by ``QXG.window_chains``), ascending: per filled slot
         one bit in each block, per empty slot its missing flag."""
         last = self.t - 1  # the annotation frame's slot
-        blocks, width, n_bands = self.blocks, self.slot_width, len(self.band_names)
+        width, code_bits = self.slot_width, self._code_bits
         bits = set()
         filled = set()
         for frame, code in chain:
             slot = last - (at_frame - frame)
             if 0 <= slot <= last:
                 filled.add(slot)
+                within = code_bits.get(code)
+                if within is None:
+                    within = self._within_slot(code)
+                    if 0 <= code < math.prod(len(labels) for _, labels in self.blocks):
+                        code_bits[code] = within
                 offset = slot * width
-                for (_, labels), component in zip(blocks, unpack_code(code, n_bands)):
-                    bits.add(offset + component)
-                    offset += len(labels)
+                bits.update([offset + bit for bit in within])
         bits.update((slot + 1) * width - 1 for slot in range(self.t) if slot not in filled)
         return tuple(sorted(bits))
+
+    def _within_slot(self, code: int) -> tuple[int, ...]:
+        offset, within = 0, []
+        for (_, labels), component in zip(self.blocks, unpack_code(code, len(self.band_names))):
+            within.append(offset + component)
+            offset += len(labels)
+        return tuple(within)
 
     def densify(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
         """A 0/1 float matrix with one row per tuple of hot bits."""

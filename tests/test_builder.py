@@ -19,6 +19,7 @@ from qxg.calculi import (
     CalculiConfig,
     DEFAULT_CONFIG,
     Motion,
+    RARelation,
     converse_tuple,
     relation_tuple,
 )
@@ -32,6 +33,7 @@ from qxg.builder import (
     converse_code,
     export_graph,
     import_graph,
+    pack_code,
     relation_code,
     relation_to_dict,
 )
@@ -263,6 +265,17 @@ class TestPacking:
         band_index = {name: i for i, name in enumerate(graph.band_names)}
         for code in range(13 * 13 * 4 * 4 * len(band_index) * 4):
             assert relation_code(relation_to_dict(graph.decode(code)), band_index) == code
+
+    def test_a_repeated_code_decodes_to_an_equal_tuple(self):
+        names = DEFAULT_CONFIG.qdc_band_names
+        code = pack_code(2, 9, 0, 2, 1, 3, len(names))
+        first = QXG("s", names).decode(code)
+        assert QXG("s", names).decode(code) == first == QXG("t", names).decode(code)
+        assert first.ra == RARelation(Allen(2), Allen(9)) and first.qdc.band_name == names[1]
+        # equal codes under other band names keep their own names
+        renamed = tuple(f"band{i}" for i in range(len(names)))
+        assert QXG("s", renamed).decode(code).qdc.band_name == "band1"
+        assert converse_code(code, len(names)) == converse_code(code, len(names))
 
     def test_decode_components(self):
         graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
@@ -516,3 +529,47 @@ def test_parsed_and_constructed_frames_build_equal_graphs(scene, data):
         if data.draw(st.booleans()):  # this first read builds the ObjectStates
             assert got.objects == built.objects
     assert export_graph(build(touched)) == want
+
+
+@st.composite
+def _grid_streams(draw):
+    """Frames on an integer grid, so box endpoints and centres tie exactly.
+    The core ids are in every frame, so from the second frame on every pair
+    of them has its motion judged; ``c`` leaves for a frame or more and comes
+    back; and one new id, sorting first, in the middle or last, first
+    appears mid-stream."""
+    n_frames = draw(st.integers(3, 7))
+    away = draw(st.integers(1, n_frames - 2))
+    back = draw(st.integers(away + 1, n_frames - 1))
+    newcomer = draw(st.sampled_from("aeg"))
+    arrives = draw(st.integers(1, n_frames - 1))
+    grid = st.integers(-4, 4)
+    frames, index = [], 0
+    for f in range(n_frames):
+        ids = ["b", "d", "f"]
+        if not away <= f < back:
+            ids.append("c")
+        if f >= arrives:
+            ids.append(newcomer)
+        states = []
+        for oid in draw(st.permutations(ids)):  # any frame order
+            (x1, x2), (y1, y2) = sorted((draw(grid), draw(grid))), sorted((draw(grid), draw(grid)))
+            states.append(ObjectState(oid, "car", BBox2D.from_bounds(x1, x2, y1, y2)))
+        frames.append(Frame(index, index * 0.5, tuple(states)))
+        index += draw(st.integers(1, 3))
+    return Scene("grid", tuple(frames))
+
+
+@given(_grid_streams())
+@settings(max_examples=120)
+def test_pair_loop_matches_the_pure_functions_on_ties(scene):
+    """push_frame against the oracle's bookkeeping on exact ties, judged
+    motion, an id that leaves and returns, and an id first seen mid-stream."""
+    builder = Builder(scene.scene_id)
+    for frame in scene.frames:
+        n = len(frame.objects)
+        assert builder.push_frame(frame).pairs_updated == n * (n - 1) // 2
+    expected = _expected_histories(scene)
+    assert set(builder.graph.edges) == set(expected)
+    for (a, b), want in expected.items():
+        assert builder.graph.edge_chain(a, b, math.inf, math.inf) == want

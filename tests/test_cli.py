@@ -494,6 +494,27 @@ class TestEval:
         )
         assert result.returncode == 1
 
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            ("nan", "must be a finite number, got nan"),
+            ("-0.1", "must be within [0, 1], got -0.1"),
+            ("7", "must be within [0, 1], got 7"),
+            ("abc", "must be a number, got 'abc'"),
+        ],
+        ids=["nan", "negative", "seven", "not-a-number"],
+    )
+    @pytest.mark.parametrize("split", ["all", "test"])
+    def test_train_fraction_outside_0_1_is_usage_error(
+        self, corpus, model_file, fraction, message, split
+    ):
+        result = run_cli(
+            "eval", "--traces", str(corpus), "--model", str(model_file),
+            "--split", split, "--train-fraction", fraction,
+        )
+        assert result.returncode == 2
+        assert f"argument --train-fraction: {message}" in result.stderr
+
     def test_model_without_actions_is_runtime_error(self, corpus, model_file, tmp_path):
         payload = json.loads(model_file.read_bytes())
         payload["actions"] = {}
