@@ -63,25 +63,39 @@ class BenchResult:
     mean_pairs: float
 
 
+def _run_interleaved(sizes: tuple[int, ...], n_frames: int, seed: int) -> tuple[BenchResult, ...]:
+    """Time ``push_frame`` for every crowd size with one builder per size,
+    pushing the sizes' frames round-robin: frame i of every size before
+    frame i + 1 of any.  Drift in machine speed then falls on all sizes
+    alike instead of tilting the ones timed in a slow stretch."""
+    streams = [crowd_frames(k, n_frames + WARMUP, seed) for k in sizes]
+    builders = [Builder("bench") for _ in sizes]
+    elapsed: list[list[int]] = [[] for _ in sizes]
+    pairs: list[list[int]] = [[] for _ in sizes]
+    for i in range(n_frames + WARMUP):
+        for frames, builder, ns, n_pairs in zip(streams, builders, elapsed, pairs):
+            stats = builder.push_frame(frames[i])
+            if i >= WARMUP:
+                ns.append(stats.elapsed_ns)
+                n_pairs.append(stats.pairs_updated)
+    results = []
+    for k, ns, n_pairs in zip(sizes, elapsed, pairs):
+        ms = np.asarray(ns, dtype=float) / 1e6
+        results.append(
+            BenchResult(
+                n_objects=k,
+                n_frames=n_frames,
+                median_ms=float(np.median(ms)),
+                p95_ms=float(np.percentile(ms, 95)),
+                mean_pairs=float(np.mean(n_pairs)),
+            )
+        )
+    return tuple(results)
+
+
 def run_bench(n_objects: int, n_frames: int = 30, seed: int = 0) -> BenchResult:
     """Time ``push_frame`` over a dense scene; report median and p95 in ms."""
-    frames = crowd_frames(n_objects, n_frames + WARMUP, seed)
-    builder = Builder("bench")
-    elapsed = []
-    pairs = []
-    for i, frame in enumerate(frames):
-        stats = builder.push_frame(frame)
-        if i >= WARMUP:
-            elapsed.append(stats.elapsed_ns)
-            pairs.append(stats.pairs_updated)
-    ms = np.asarray(elapsed, dtype=float) / 1e6
-    return BenchResult(
-        n_objects=n_objects,
-        n_frames=n_frames,
-        median_ms=float(np.median(ms)),
-        p95_ms=float(np.percentile(ms, 95)),
-        mean_pairs=float(np.mean(pairs)),
-    )
+    return _run_interleaved((n_objects,), n_frames, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -96,13 +110,15 @@ def run_scaling(sizes: tuple[int, ...], n_frames: int = 30, seed: int = 0) -> Sc
     """Fit median cost ~ k^e over the given crowd sizes.
 
     A pure pairwise loop should land near e = 2; the slope comes from a
-    least-squares line through the (log k, log median) points.
+    least-squares line through the (log k, log median) points.  The sizes
+    are timed interleaved, frame by frame, so they share the machine's
+    speed.
     """
     if len(sizes) < 2:
         raise ValueError("scaling fit needs at least two sizes")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate sizes in {sizes}")
-    results = tuple(run_bench(k, n_frames, seed) for k in sizes)
+    results = _run_interleaved(sizes, n_frames, seed)
     log_k = np.log([r.n_objects for r in results])
     log_ms = np.log([r.median_ms for r in results])
     exponent = float(np.polyfit(log_k, log_ms, 1)[0])

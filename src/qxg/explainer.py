@@ -313,11 +313,20 @@ def _gini(pos: int, n: int) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
+def _fit_tree(hi: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
+    """Grow one tree in preorder on the bootstrap ``rows`` of ``hi``, the
+    boolean matrix ``X > 0.5`` that ``train`` makes once.
+
+    The bootstrap is held as integer weights over its distinct rows, so one
+    gather of a node's candidate columns and two int64 dot products count,
+    for every candidate at once, the drawn rows whose bit is set and the
+    positives among them.  Each child takes its counts from the parent's."""
     import numpy as np
 
-    n_features = X.shape[1]
+    n_features = hi.shape[1]
     subset_size = math.ceil(math.sqrt(n_features))
+    weights = np.bincount(rows, minlength=hi.shape[0])
+    pos_weights = weights * y
     feature: list[int] = []
     left: list[int] = []
     right: list[int] = []
@@ -332,10 +341,8 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
         count.append(0)
         return len(feature) - 1
 
-    def grow(node_rows: np.ndarray, depth: int) -> int:
+    def grow(node_rows: np.ndarray, n: int, pos: int, depth: int) -> int:
         node = new_node()
-        n = node_rows.size
-        pos = int(y[node_rows].sum())
         if depth >= hp.max_depth or pos == 0 or pos == n or n < 2 * hp.min_samples_leaf:
             fraction[node] = pos / n
             count[node] = n
@@ -343,33 +350,35 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, r
 
         # Candidate features in ascending order so that on tied gain the
         # smallest feature index wins.
-        candidates = np.sort(rng.choice(n_features, size=subset_size, replace=False))
+        candidates = rng.choice(n_features, size=subset_size, replace=False)
+        candidates.sort()
+        bits = hi[node_rows][:, candidates]
+        n_his = (weights[node_rows] @ bits).tolist()
+        pos_his = (pos_weights[node_rows] @ bits).tolist()
         parent = _gini(pos, n)
         best_gain = 0.0
-        best_feat = -1
-        best_mask = None
-        for f in candidates:
-            mask = X[node_rows, f] > 0.5
-            n_hi = int(mask.sum())
+        best = -1
+        for k, (n_hi, pos_hi) in enumerate(zip(n_his, pos_his)):
             n_lo = n - n_hi
             if n_hi < hp.min_samples_leaf or n_lo < hp.min_samples_leaf:
                 continue
-            pos_hi = int(y[node_rows[mask]].sum())
             pos_lo = pos - pos_hi
             gain = parent - (n_lo * _gini(pos_lo, n_lo) + n_hi * _gini(pos_hi, n_hi)) / n
             if gain > best_gain:
-                best_gain, best_feat, best_mask = gain, int(f), mask
-        if best_feat < 0:
+                best_gain, best = gain, k
+        if best < 0:
             fraction[node] = pos / n
             count[node] = n
             return node
 
-        feature[node] = best_feat
-        left[node] = grow(node_rows[~best_mask], depth + 1)
-        right[node] = grow(node_rows[best_mask], depth + 1)
+        feature[node] = int(candidates[best])
+        mask = bits[:, best]
+        n_hi, pos_hi = n_his[best], pos_his[best]
+        left[node] = grow(node_rows[~mask], n - n_hi, pos - pos_hi, depth + 1)
+        right[node] = grow(node_rows[mask], n_hi, pos_hi, depth + 1)
         return node
 
-    grow(rows, 0)
+    grow(np.flatnonzero(weights), rows.size, int(pos_weights.sum()), 0)
     return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
 
 
@@ -437,7 +446,7 @@ def train(
     actions = sorted(set(dataset.labels))
 
     y_all = np.asarray(dataset.labels)
-    X = dataset.X
+    hi = dataset.X > 0.5
     forests: dict[str, list[Tree]] = {}
     action_seeds = np.random.SeedSequence(seed).spawn(len(actions))
     for action, action_seed in zip(actions, action_seeds):
@@ -466,7 +475,7 @@ def train(
             else:
                 pool = np.arange(n)
             rows = rng.choice(pool, size=pool.size, replace=True)
-            trees.append(_fit_tree(X, y, rows, hyperparams, rng))
+            trees.append(_fit_tree(hi, y, rows, hyperparams, rng))
         forests[action] = trees
     return Model(seed, dataset.spec, dataset.cfg, hyperparams, forests)
 

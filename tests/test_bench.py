@@ -54,3 +54,20 @@ def test_scaling_validation():
         run_scaling(sizes=(20,))
     with pytest.raises(ValueError):
         run_scaling(sizes=(20, 20, 40))
+
+
+def test_scaling_pushes_the_sizes_round_robin(monkeypatch):
+    from qxg import bench
+
+    pushed = []
+    push_frame = bench.Builder.push_frame
+
+    def recording(self, frame):
+        pushed.append((len(frame.objects), frame.index))
+        return push_frame(self, frame)
+
+    monkeypatch.setattr(bench.Builder, "push_frame", recording)
+    report = run_scaling(sizes=(8, 16, 32), n_frames=4, seed=0)
+    rounds = 4 + bench.WARMUP
+    assert pushed == [(k, i) for i in range(rounds) for k in (8, 16, 32)]
+    assert [r.mean_pairs for r in report.results] == [28.0, 120.0, 496.0]

@@ -1,6 +1,7 @@
 """Feature encoding, forest training, explanation ranking, model files."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qxg import explainer
 from qxg.builder import QXG, build, pack_code
 from qxg.calculi import (
     Allen,
@@ -31,6 +33,7 @@ from qxg.explainer import (
     InsufficientData,
     LengthMismatch,
     Model,
+    Tree,
     UnknownAction,
     VersionMismatch,
     _fit_tree,
@@ -506,14 +509,14 @@ class TestTreeFitting:
     def test_tied_gain_prefers_smaller_feature(self):
         X, y = self._xy()
         tree = _fit_tree(
-            X, y, np.arange(len(y)), Hyperparams(n_trees=1, max_depth=3, min_samples_leaf=1), np.random.default_rng(5)
+            X > 0.5, y, np.arange(len(y)), Hyperparams(n_trees=1, max_depth=3, min_samples_leaf=1), np.random.default_rng(5)
         )
         assert tree.feature[0] == 0
 
     def test_pure_node_becomes_leaf(self):
         X = np.zeros((10, 3))
         y = np.ones(10, dtype=bool)
-        tree = _fit_tree(X, y, np.arange(10), Hyperparams(), np.random.default_rng(0))
+        tree = _fit_tree(X > 0.5, y, np.arange(10), Hyperparams(), np.random.default_rng(0))
         assert len(tree.feature) == 1
         assert tree.feature[0] == -1
         assert tree.fraction[0] == 1.0 and tree.count[0] == 10
@@ -523,7 +526,7 @@ class TestTreeFitting:
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         y = (X[:, 0] + X[:, 1] + X[:, 2]) >= 2
         hp = Hyperparams(n_trees=1, max_depth=1, min_samples_leaf=1)
-        tree = _fit_tree(X, y, np.arange(200), hp, rng)
+        tree = _fit_tree(X > 0.5, y, np.arange(200), hp, rng)
         assert len(tree.feature) <= 3
 
     def test_min_samples_leaf_respected(self):
@@ -531,9 +534,129 @@ class TestTreeFitting:
         X = rng.integers(0, 2, size=(60, 5)).astype(float)
         y = X[:, 2] > 0.5
         hp = Hyperparams(n_trees=1, max_depth=8, min_samples_leaf=7)
-        tree = _fit_tree(X, y, np.arange(60), hp, rng)
+        tree = _fit_tree(X > 0.5, y, np.arange(60), hp, rng)
         leaf_counts = [c for f, c in zip(tree.feature, tree.count) if f < 0]
         assert min(leaf_counts) >= 7
+
+
+def _reference_fit_tree(X, y, rows, hp, rng):
+    """The per-candidate split search that ``_fit_tree`` replaced: for every
+    candidate, mask the node's bootstrap rows on ``X > 0.5`` and count them,
+    then recurse on the masked rows."""
+    n_features = X.shape[1]
+    subset_size = math.ceil(math.sqrt(n_features))
+    feature, left, right, fraction, count = [], [], [], [], []
+
+    def gini(pos, n):
+        p = pos / n
+        return 2.0 * p * (1.0 - p)
+
+    def grow(node_rows, depth):
+        node = len(feature)
+        feature.append(-1)
+        left.append(-1)
+        right.append(-1)
+        fraction.append(0.0)
+        count.append(0)
+        n = node_rows.size
+        pos = int(y[node_rows].sum())
+        if depth >= hp.max_depth or pos == 0 or pos == n or n < 2 * hp.min_samples_leaf:
+            fraction[node] = pos / n
+            count[node] = n
+            return node
+        candidates = np.sort(rng.choice(n_features, size=subset_size, replace=False))
+        parent = gini(pos, n)
+        best_gain, best_feat, best_mask = 0.0, -1, None
+        for f in candidates:
+            mask = X[node_rows, f] > 0.5
+            n_hi = int(mask.sum())
+            n_lo = n - n_hi
+            if n_hi < hp.min_samples_leaf or n_lo < hp.min_samples_leaf:
+                continue
+            pos_hi = int(y[node_rows[mask]].sum())
+            pos_lo = pos - pos_hi
+            gain = parent - (n_lo * gini(pos_lo, n_lo) + n_hi * gini(pos_hi, n_hi)) / n
+            if gain > best_gain:
+                best_gain, best_feat, best_mask = gain, int(f), mask
+        if best_feat < 0:
+            fraction[node] = pos / n
+            count[node] = n
+            return node
+        feature[node] = best_feat
+        left[node] = grow(node_rows[~best_mask], depth + 1)
+        right[node] = grow(node_rows[best_mask], depth + 1)
+        return node
+
+    grow(rows, 0)
+    return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
+
+
+@pytest.fixture(scope="module")
+def synth_dataset():
+    train_items, _ = generate_corpus(30, 0, master_seed=5)
+    return build_dataset([(s, a) for s, a, _ in train_items])
+
+
+def _with_matrix(dataset, X):
+    return Dataset(X, dataset.labels, dataset.keys, dataset.spec, dataset.cfg)
+
+
+def _repeated_columns(dataset):
+    """Each block of eight features repeats the block's first column, so
+    most nodes draw tied candidates and the lowest index must win."""
+    X = dataset.X.copy()
+    for j in range(X.shape[1]):
+        X[:, j] = dataset.X[:, j - j % 8]
+    return _with_matrix(dataset, X)
+
+
+def _non_binary(dataset):
+    """Values on both sides of 0.5, and 0.5 itself, which is not set."""
+    rng = np.random.default_rng(9)
+    X = dataset.X * rng.choice([0.51, 1.0, 2.0], size=dataset.X.shape)
+    X += (X == 0) * rng.choice([0.0, 0.3, 0.5], size=X.shape)
+    return _with_matrix(dataset, X)
+
+
+def _train_both(dataset, hp, monkeypatch):
+    """``train`` as it is, then with the reference loop as ``_fit_tree``."""
+    model = train(dataset, seed=13, hyperparams=hp)
+    monkeypatch.setattr(
+        explainer, "_fit_tree", lambda hi, y, rows, hp, rng: _reference_fit_tree(dataset.X, y, rows, hp, rng)
+    )
+    return model, train(dataset, seed=13, hyperparams=hp)
+
+
+class TestSplitSearchMatchesReference:
+    """``train`` grows the same trees as the per-candidate loop it replaced:
+    same node ids, features, leaf fractions and integer counts."""
+
+    @pytest.mark.parametrize(
+        "hp, variant",
+        [
+            (Hyperparams(), None),
+            (Hyperparams(min_samples_leaf=1, max_depth=25), None),
+            (Hyperparams(balance=False, n_trees=30), None),
+            (Hyperparams(n_trees=40, min_samples_leaf=1), _repeated_columns),
+            (Hyperparams(n_trees=40), _non_binary),
+        ],
+        ids=["defaults", "deep-leaf-1", "unbalanced", "repeated-columns", "non-binary"],
+    )
+    def test_equal_trees(self, synth_dataset, hp, variant, monkeypatch):
+        dataset = variant(synth_dataset) if variant else synth_dataset
+        model, reference = _train_both(dataset, hp, monkeypatch)
+        assert model.forests == reference.forests
+        assert model_to_json(model) == model_to_json(reference)
+        assert all(type(c) is int for trees in model.forests.values() for t in trees for c in t.count)
+        assert sum(len(t.feature) for trees in model.forests.values() for t in trees) > 10 * hp.n_trees
+
+    def test_single_action_corpus(self, synth_dataset, monkeypatch):
+        d = synth_dataset
+        dataset = Dataset(d.X, ["Cruising"] * len(d), d.keys, d.spec, d.cfg)
+        with pytest.warns(RuntimeWarning, match="no negative examples"):
+            model, reference = _train_both(dataset, Hyperparams(n_trees=8), monkeypatch)
+        assert model.forests == reference.forests
+        assert model_to_json(model) == model_to_json(reference)
 
 
 class TestExplain:
