@@ -25,19 +25,24 @@ is first seen.
 
 A scene holds few distinct codes (about 1,300 in a 160-object crowd over 200
 frames, against 2.5 M stored relations), so each graph interns its codes:
-equal codes are one shared ``int`` object, and a stored relation costs two
-list slots, its frame and its code, with no boxed ``int`` of its own.
+equal codes are one shared ``int`` object, and a stored relation costs one
+list slot, its code, with no boxed ``int`` of its own.  A pair's frames are
+kept as maximal runs of consecutive indices, so a pair seen in every frame
+holds one run.  Each object's last-centre entry also records the frame it was
+last seen in: when both objects of a pair were in the previous frame, the
+pair was too, and the loop only appends the code to the open run.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import hypot
-from typing import Union
+from operator import itemgetter
+from time import perf_counter_ns
+from typing import NamedTuple, Union
 
 from .calculi import (
     ALLEN_BY_LABEL,
@@ -122,8 +127,7 @@ class OutOfOrderFrame(ValueError):
     """Frames must arrive with strictly increasing indices."""
 
 
-@dataclass(frozen=True)
-class BuilderStats:
+class BuilderStats(NamedTuple):
     """What one ``push_frame`` call did and how long it took."""
 
     frame_index: int
@@ -134,15 +138,65 @@ class BuilderStats:
 
 @dataclass(slots=True)
 class EdgeHistory:
-    """Per-pair relation history as parallel lists (ascending frames).  The
-    codes are shared ``int`` objects: the builder and the JSON loader store
-    one object per distinct code value in a graph."""
+    """Per-pair relation history in ascending frames.  ``codes`` holds one
+    code per relation; the codes are shared ``int`` objects: the builder and
+    the JSON loader store one object per distinct code value in a graph.
+    ``runs`` holds the frames as maximal runs of consecutive indices,
+    flattened: each run's first frame, then the position in ``codes`` of its
+    first code.  Runs are always maximal, so equal histories compare equal."""
 
-    frames: list[int] = field(default_factory=list)
     codes: list[int] = field(default_factory=list)
+    runs: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.codes)
+
+    @property
+    def frames(self) -> list[int]:
+        """Every relation's frame, rebuilt from the runs."""
+        runs = self.runs
+        out: list[int] = []
+        for first, pos, end in zip(runs[::2], runs[1::2], runs[3::2] + [len(self.codes)]):
+            out.extend(range(first, first + end - pos))
+        return out
+
+    def append(self, frame: int, code: int) -> None:
+        """Add a relation after the last one; ``frame`` must be later than
+        every frame held."""
+        runs, codes = self.runs, self.codes
+        if not runs or frame != runs[-2] + len(codes) - runs[-1]:
+            runs += (frame, len(codes))
+        codes.append(code)
+
+    def tail(self, at_frame: int, t: int) -> tuple[list[int] | range, list[int]]:
+        """The frames and codes of the last up-to-``t`` relations at or
+        before ``at_frame``, ascending."""
+        runs, codes = self.runs, self.codes
+        if not runs:
+            return [], []
+        j = len(runs) - 2  # the last run holds at_frame unless it is earlier
+        end = len(codes)
+        if at_frame < runs[j]:
+            k = bisect_right(range(0, j, 2), at_frame, key=runs.__getitem__)
+            if not k:
+                return [], []
+            j = 2 * k - 2
+            end = runs[j + 3]
+        first, pos = runs[j], runs[j + 1]
+        if at_frame - first < end - pos - 1:  # at_frame falls inside the run
+            end = pos + at_frame - first + 1
+        start = end - t if end > t else 0
+        if start >= pos:  # all inside one run: the common case
+            return range(first + start - pos, first + end - pos), codes[start:end]
+        pieces = []
+        hi = end
+        while hi > start:
+            first, pos = runs[j], runs[j + 1]
+            lo = pos if pos > start else start
+            pieces.append(range(first + lo - pos, first + hi - pos))
+            hi = lo
+            j -= 2
+        return [f for piece in reversed(pieces) for f in piece], codes[start:end]
 
 
 @dataclass
@@ -171,13 +225,11 @@ class QXG:
         history = self.edges.get(key)
         if history is None:
             return []
-        end = bisect_right(history.frames, at_frame)
-        start = max(0, end - t)
-        codes = history.codes[start:end]
+        frames, codes = history.tail(at_frame, t)
         if key[0] != a:
             n_bands = len(self.band_names)
             codes = [converse_code(code, n_bands) for code in codes]
-        return list(zip(history.frames[start:end], codes))
+        return list(zip(frames, codes))
 
     def window_chains(
         self, actor: str, at_frame: int, t: int
@@ -194,7 +246,7 @@ class QXG:
         found = []
         for other in partners:
             chain = self.code_chain(actor, other, at_frame, t)
-            chain = [(f, code) for f, code in chain if f >= start]
+            del chain[: bisect_left(chain, (start,))]  # frames ascend: keep those >= start
             if chain:
                 found.append((other, chain))
         return found
@@ -218,6 +270,9 @@ def _decode(code: int, band_names: tuple[str, ...]) -> RelationTuple:
     )
 
 
+_by_id = itemgetter(0)  # a pair-loop state's object id
+
+
 class Builder:
     """Feeds frames one at a time into a growing :class:`QXG`.
 
@@ -229,7 +284,8 @@ class Builder:
     def __init__(self, scene_id: str, cfg: CalculiConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.graph = QXG(scene_id, cfg.qdc_band_names)
-        self._last_center: dict[str, tuple[float, float]] = {}
+        # object id -> (centre x, centre y, frame index) where last seen
+        self._last_center: dict[str, tuple[float, float, int]] = {}
         self._last_index: int | None = None
         self._codes: dict[int, int] = {}
         # The histories of graph.edges again, by smaller id then larger id,
@@ -237,7 +293,7 @@ class Builder:
         self._edge_rows: dict[str, dict[str, EdgeHistory]] = {}
 
     def push_frame(self, frame: Frame) -> BuilderStats:
-        t0 = time.perf_counter_ns()
+        t0 = perf_counter_ns()
         if self._last_index is not None and frame.index <= self._last_index:
             raise OutOfOrderFrame(
                 f"frame {frame.index} pushed after frame {self._last_index}"
@@ -254,22 +310,26 @@ class Builder:
 
         # One pass over the frame's box rows; the pair loop below touches
         # plain floats only.  Each object's last centre is read here too: it
-        # is only written after the pair loop.
+        # is only written after the pair loop.  ``held`` says the object was
+        # in the previous frame, so a pair of two such objects continues its
+        # pair's last run.
+        frame_index = frame.index
+        before = frame_index - 1
         states = []
         for object_id, obj_class, (xl, xh, yl, yh) in frame.rows():
             node_classes.setdefault(object_id, obj_class)
-            cx, cy = (xl + xh) / 2.0, (yl + yh) / 2.0
-            states.append((object_id, xl, xh, yl, yh, cx, cy, last_center.get(object_id)))
-        states.sort(key=lambda st: st[0])  # ids are distinct strings: Frame checks them
+            prev = last_center.get(object_id)
+            held = prev is not None and prev[2] == before
+            states.append((object_id, xl, xh, yl, yh, (xl + xh) / 2.0, (yl + yh) / 2.0, prev, held))
+        states.sort(key=_by_id)  # ids are distinct strings: Frame checks them
 
-        frame_index = frame.index
-        for i, (a_id, axl, axh, ayl, ayh, acx, acy, a_prev) in enumerate(states):
+        for i, (a_id, axl, axh, ayl, ayh, acx, acy, a_prev, a_held) in enumerate(states):
             if a_prev is not None:
-                apx, apy = a_prev
+                apx, apy, _ = a_prev
             row = edge_rows.get(a_id)
             if row is None:
                 row = edge_rows[a_id] = {}
-            for b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev in states[i + 1 :]:
+            for b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev, b_held in states[i + 1 :]:
 
                 # Interval relation per axis (exact endpoint ties).
                 if axh < bxl:
@@ -317,7 +377,7 @@ class Builder:
                 else:
                     # One previous-centre gap serves both sides (see the
                     # module docstring for why it is the oracle's bits).
-                    bpx, bpy = b_prev
+                    bpx, bpy, _ = b_prev
                     gap = hypot(apx - bpx, apy - bpy)
                     a_delta = hypot(acx - bpx, acy - bpy) - gap
                     am = 0 if a_delta < -eps else (2 if a_delta > eps else 1)
@@ -341,18 +401,22 @@ class Builder:
                 # pack_code, inlined
                 code = ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
                 code = intern(code, code)
-                history = row.get(b_id)
-                if history is None:
-                    history = row[b_id] = graph_edges[(a_id, b_id)] = EdgeHistory()
-                history.frames.append(frame_index)
-                history.codes.append(code)
+                if a_held and b_held:
+                    row[b_id].codes.append(code)
+                else:
+                    history = row.get(b_id)
+                    if history is None:
+                        row[b_id] = graph_edges[(a_id, b_id)] = EdgeHistory([code], [frame_index, 0])
+                    else:
+                        history.runs += (frame_index, len(history.codes))
+                        history.codes.append(code)
 
         for st in states:
-            last_center[st[0]] = (st[5], st[6])
+            last_center[st[0]] = (st[5], st[6], frame_index)
         self._last_index = frame_index
 
         n = len(states)  # ids are distinct, so every pair was updated
-        return BuilderStats(frame_index, n, n * (n - 1) // 2, time.perf_counter_ns() - t0)
+        return BuilderStats(frame_index, n, n * (n - 1) // 2, perf_counter_ns() - t0)
 
 
 def build(scene: Scene, cfg: CalculiConfig = DEFAULT_CONFIG) -> QXG:
@@ -443,16 +507,17 @@ def graph_from_dict(payload: dict) -> QXG:
             if problem:
                 raise ValueError(f"not a serialized scene graph: edge {key} {problem}")
             history = EdgeHistory()
+            last = None
             for rel in edge["relations"]:
                 frame = rel["frame"]
-                if type(frame) is not int or (history.frames and frame <= history.frames[-1]):
+                if type(frame) is not int or (last is not None and frame <= last):
                     raise ValueError(
                         f"not a serialized scene graph: edge {key} frames must be strictly "
                         f"increasing integers, got {frame!r} after {history.frames[-1:]}"
                     )
-                history.frames.append(frame)
+                last = frame
                 code = relation_code(rel, band_index)
-                history.codes.append(intern(code, code))
+                history.append(frame, intern(code, code))
             graph.edges[key] = history
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"not a serialized scene graph: {exc!r}") from None

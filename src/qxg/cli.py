@@ -303,7 +303,23 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
-_crowd_size = _int_in(2)
+# qxg bench pushes every pair of a crowd in every frame, and keeps the whole
+# graph, so time and memory grow with objects squared times frames.  Measured
+# before the bounds were set (2-vCPU VM, wall time and peak RSS of the process):
+#
+#   --objects 160 --frames 30     1.0 s    47 MB
+#   --objects 320 --frames 30     3.1 s    74 MB
+#   --objects 640 --frames 5      3.4 s   120 MB
+#   --objects 640 --frames 30    10.6 s   176 MB
+#   --objects 160 --frames 300    7.1 s    92 MB
+#   --objects 20  --frames 1000   0.7 s    47 MB
+#
+# At 640 objects each frame adds about 2.2 MB and 0.29 s, so the largest run
+# the bounds admit, 640 objects over 200 frames, needs about 0.56 GB and a
+# minute (extrapolated, not run).
+MAX_BENCH_OBJECTS = 640
+MAX_BENCH_FRAMES = 200
+_crowd_size = _int_in(2, MAX_BENCH_OBJECTS)
 
 # Generation cost grows with the square of the object count: on a 2-vCPU VM,
 # 2 scenes take 0.4 s at 50 distractors, 1 s at 200 and over a minute at 3200.
@@ -401,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time push_frame on dense synthetic crowds")
     p.add_argument("--objects", type=_crowd_size, default=160)
-    p.add_argument("--frames", type=_int_in(1), default=30)
+    p.add_argument("--frames", type=_int_in(1, MAX_BENCH_FRAMES), default=30)
     p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--scaling", type=_size_list, help="fit cost ~ k^e over sizes, e.g. 20,40,80,160")
     p.set_defaults(func=cmd_bench)

@@ -242,6 +242,129 @@ class TestEdgeChain:
         assert [f for f, _ in gappy.window_chains(actor, 5, 3)[0][1]] == [5]
 
 
+def _flicker_scene(seed, n_objects=6, n_frames=30):
+    """Objects entering, leaving and coming back, frame indices that skip
+    (some negative), and some frames holding a single object."""
+    rng = random.Random(seed)
+    ids = [f"f{i}" for i in range(n_objects)]
+    frames, index = [], rng.randrange(-4, 4)
+    for _ in range(n_frames):
+        if rng.random() < 0.15:
+            present = [rng.choice(ids)]
+        else:
+            present = [oid for oid in ids if rng.random() < 0.7]
+        states = [_state(oid, rng.uniform(-20, 20), rng.uniform(-20, 20)) for oid in present]
+        rng.shuffle(states)
+        frames.append(_frame(index, *states))
+        index += rng.choice((1, 1, 1, 2, 3))
+    return Scene(f"flicker{seed}", tuple(frames))
+
+
+def _model_chain(relations, at_frame, t):
+    """code_chain on a plain list of (frame, code)."""
+    kept = [(f, code) for f, code in relations if f <= at_frame]
+    return kept[max(0, len(kept) - t):]
+
+
+class TestRunLengthHistories:
+    """Frames stored as runs read back as the plain per-relation lists."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_histories_match_a_list_model(self, seed):
+        scene = _flicker_scene(seed)
+        graph = build(scene)
+        n_bands = len(graph.band_names)
+        band_index = {name: i for i, name in enumerate(graph.band_names)}
+        expected = _expected_histories(scene)
+        assert set(graph.edges) == set(expected)
+        runs = 0
+        for (a, b), want in expected.items():
+            model = [(f, relation_code(relation_to_dict(rel), band_index)) for f, rel in want]
+            history = graph.edges[(a, b)]
+            assert history.frames == [f for f, _ in model]
+            assert len(history) == len(model)
+            runs += len(history.runs) // 2
+            first, last = model[0][0], model[-1][0]
+            for at_frame in range(first - 2, last + 3):
+                for t in range(1, len(model) + 2):
+                    chain = _model_chain(model, at_frame, t)
+                    assert graph.code_chain(a, b, at_frame, t) == chain
+                    assert graph.code_chain(b, a, at_frame, t) == [
+                        (f, converse_code(code, n_bands)) for f, code in chain
+                    ]
+        assert runs > 2 * len(expected)  # the stream really splits histories
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_windows_match_a_list_model(self, seed):
+        scene = _flicker_scene(seed)
+        graph = build(scene)
+        chains = {}
+        for (a, b) in graph.edges:
+            chains[(a, b)] = graph.code_chain(a, b, math.inf, math.inf)
+            chains[(b, a)] = graph.code_chain(b, a, math.inf, math.inf)
+        ids = sorted(graph.node_classes)
+        for actor in ids:
+            for at_frame in range(scene.frames[0].index - 1, scene.frames[-1].index + 2):
+                for t in (1, 2, 5):
+                    want = []
+                    for other in ids:
+                        inside = [
+                            (f, code) for f, code in chains.get((actor, other), ())
+                            if at_frame - t < f <= at_frame
+                        ]
+                        if inside:
+                            want.append((other, inside))
+                    assert graph.window_chains(actor, at_frame, t) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_json_round_trip_is_byte_identical(self, seed):
+        graph = build(_flicker_scene(seed))
+        blob = export_graph(graph)
+        restored = import_graph(blob)
+        assert restored == graph  # the loader rebuilds the same maximal runs
+        assert export_graph(restored) == blob
+
+    @pytest.mark.parametrize(
+        "frames, bad, message",
+        [
+            ([0, 1, 2, 5, 6], (3, 2), "got 2 after [2]"),
+            ([0, 1, 2, 5, 6], (4, 4), "got 4 after [5]"),
+            ([3, 4], (0, True), "got True after []"),
+        ],
+        ids=["into-earlier-run", "backwards-in-run", "first-not-int"],
+    )
+    def test_import_refuses_frames_that_do_not_increase(self, frames, bad, message):
+        graph = build(Scene("s", tuple(_frame(f, _state("a", 0, 0), _state("b", 3, f)) for f in frames)))
+        payload = json.loads(export_graph(graph))
+        position, frame = bad
+        payload["edges"][0]["relations"][position]["frame"] = frame
+        with pytest.raises(ValueError) as refused:
+            import_graph(json.dumps(payload))
+        assert str(refused.value) == (
+            "not a serialized scene graph: edge ('a', 'b') frames must be strictly "
+            f"increasing integers, {message}"
+        )
+
+
+@given(st.integers(-5, 5), st.lists(st.integers(1, 3), max_size=25))
+@settings(max_examples=60)
+def test_edge_history_appends_match_a_list_model(first, steps):
+    frames = list(itertools.accumulate(steps, initial=first))
+    relations = [(f, 1000 + i) for i, f in enumerate(frames)]
+    history = EdgeHistory()
+    for f, code in relations:
+        history.append(f, code)
+    assert history.frames == frames and len(history) == len(frames)
+    runs = history.runs
+    # each run's first frame and first position; runs are maximal
+    assert runs[1::2] == [i for i, f in enumerate(frames) if i == 0 or f != frames[i - 1] + 1]
+    assert runs[::2] == [frames[i] for i in runs[1::2]]
+    for at_frame in range(first - 2, frames[-1] + 3):
+        for t in range(0, len(frames) + 2):
+            got_frames, got_codes = history.tail(at_frame, t)
+            assert list(zip(got_frames, got_codes)) == _model_chain(relations, at_frame, t)
+
+
 class TestPacking:
     def test_every_code_decodes_and_repacks(self):
         graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)
@@ -438,7 +561,7 @@ def _box_walk(seed, n_objects, n_frames):
 
 
 class TestStorage:
-    def test_a_stored_relation_costs_two_list_slots(self):
+    def test_a_stored_relation_costs_one_list_slot(self):
         frames = _box_walk(0, 60, 40)
         tracemalloc.start()
         try:
@@ -451,9 +574,10 @@ class TestStorage:
             tracemalloc.stop()
         stored = sum(len(history) for history in builder.graph.edges.values())
         assert stored == 40 * 60 * 59 // 2
-        # two 8-byte slots plus list over-allocation and the per-edge
-        # objects; a boxed int per relation would add 28 bytes more
-        assert used / stored <= 32
+        # one 8-byte code slot plus list over-allocation and the per-edge
+        # objects, the one run included (about 16 B); a frame slot per
+        # relation would add 8 bytes more, a boxed int per relation 28
+        assert used / stored <= 24
 
     def test_equal_codes_share_one_object(self):
         builder = Builder("walk")
@@ -491,11 +615,15 @@ class TestStorage:
     def test_edge_history_is_slotted(self):
         history = EdgeHistory()
         assert not hasattr(history, "__dict__")
-        history.frames.append(4)
-        history.codes.append(700)
-        assert history == EdgeHistory([4], [700]) and len(history) == 1
+        history.append(4, 700)
+        history.append(5, 701)
+        history.append(9, 700)
+        assert history == EdgeHistory([700, 701, 700], [4, 0, 9, 2]) and len(history) == 3
+        assert history.frames == [4, 5, 9]
         with pytest.raises(AttributeError):
             history.extra = 1
+        with pytest.raises(AttributeError):
+            history.frames = [1, 2, 3]  # a view of the runs, not a field
 
 
 # near coordinates, half of them whole, so boxes overlap and endpoints tie

@@ -11,7 +11,7 @@ import pytest
 
 from qxg.builder import build, import_graph
 from qxg.calculi import BBox2D, CalculiConfig, Interval
-from qxg.cli import AppConfig, build_parser, load_app_config, main
+from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
 from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams
 from qxg.scene import CauseRecord, ObjectState, load_trace, serialize_scene
 from qxg.synthgen import generate_dataset, generate_scenes
@@ -666,6 +666,34 @@ class TestBench:
 
     def test_too_few_objects_is_usage_error(self):
         assert run_cli("bench", "--objects", "1").returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [
+            ("--objects", MAX_BENCH_OBJECTS + 1, f"2..{MAX_BENCH_OBJECTS}"),
+            ("--scaling", f"20,{MAX_BENCH_OBJECTS + 1}", f"2..{MAX_BENCH_OBJECTS}"),
+            ("--frames", MAX_BENCH_FRAMES + 1, f"1..{MAX_BENCH_FRAMES}"),
+        ],
+        ids=["objects", "scaling", "frames"],
+    )
+    def test_one_over_a_size_bound_is_usage_error(self, flag, value, bound):
+        # refused by argparse, before any crowd is generated
+        result = run_cli("bench", flag, str(value), timeout=10)
+        assert result.returncode == 2
+        over = str(value).split(",")[-1]
+        assert f"argument {flag}: must be in {bound}, got {over}" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+    def test_size_bounds_admit_the_criterion_runs(self):
+        parser = build_parser()
+        args = parser.parse_args(["bench", "--objects", "160", "--frames", "30"])
+        assert (args.objects, args.frames) == (160, 30)
+        args = parser.parse_args(["bench", "--scaling", "20,40,80,160", "--frames", "30"])
+        assert args.scaling == [20, 40, 80, 160]
+        args = parser.parse_args(
+            ["bench", "--objects", str(MAX_BENCH_OBJECTS), "--frames", str(MAX_BENCH_FRAMES)]
+        )  # parsed only: a run this size takes about a minute
+        assert (args.objects, args.frames) == (MAX_BENCH_OBJECTS, MAX_BENCH_FRAMES)
 
 
 @pytest.mark.parametrize(
