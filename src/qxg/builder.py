@@ -2,7 +2,9 @@
 
 The graph has one node per object ever observed and one edge per object pair
 that shared at least one frame.  An edge carries the pair's relation history:
-for every co-occurrence frame, one four-component relation tuple.
+for every co-occurrence frame, one four-component relation tuple.  The graph
+keeps its histories in one store, ``QXG.pairs``: a row per node, keyed by the
+smaller id of a pair and then by the larger one.
 
 ``Builder.push_frame`` is the hot path and deliberately avoids the dataclass
 machinery in :mod:`qxg.calculi`: it reads each box as four floats from
@@ -18,10 +20,8 @@ previous centres is computed once and serves both motion signs, and the
 distance band reuses the sector's ``dx, dy``: ``hypot`` ignores the signs of
 its arguments and ``a - b`` is exactly ``-(b - a)`` in IEEE arithmetic, so
 ``hypot(b - a, ...)`` is the oracle's ``hypot(a - b, ...)`` to the last bit.
-A builder-private row index (smaller id, then larger id, to the pair's
-``EdgeHistory``) finds a pair's history without building a tuple key;
-``graph.edges`` stays the one public store and is written only when a pair
-is first seen.
+The loop takes each object's row of ``graph.pairs`` once and finds a pair's
+history in it without building a tuple key.
 
 A scene holds few distinct codes (about 1,300 in a 160-object crowd over 200
 frames, against 2.5 M stored relations), so each graph interns its codes:
@@ -42,6 +42,7 @@ from functools import lru_cache
 from math import hypot
 from operator import itemgetter
 from time import perf_counter_ns
+from types import MappingProxyType
 from typing import NamedTuple, Union
 
 from .calculi import (
@@ -60,8 +61,9 @@ from .calculi import (
     converse_allen,
     converse_star4,
     converse_tuple,  # not called here; benchmark/tracing.py hooks this name
+    shown,
 )
-from .scene import Frame, Scene
+from .scene import _INT64, Frame, Scene
 
 __all__ = [
     "OutOfOrderFrame",
@@ -203,15 +205,25 @@ class EdgeHistory:
 class QXG:
     """A finished (or in-progress) qualitative scene graph.
 
-    Stored relation tuples always describe the lexicographically smaller
-    object id against the larger one; the accessors apply the converse when
-    a query names the pair in the opposite order.
+    ``pairs`` is the one store of relation histories: every node has a row,
+    and ``pairs[a][b]`` is the history of the pair whose smaller id is ``a``
+    and larger id ``b``.  Stored relation tuples always describe ``a``
+    against ``b``; the accessors apply the converse when a query names the
+    pair in the opposite order.
     """
 
     scene_id: str
     band_names: tuple[str, ...]
     node_classes: dict[str, str] = field(default_factory=dict)
-    edges: dict[tuple[str, str], EdgeHistory] = field(default_factory=dict)
+    pairs: dict[str, dict[str, EdgeHistory]] = field(default_factory=dict)
+
+    @property
+    def edges(self) -> MappingProxyType[tuple[str, str], EdgeHistory]:
+        """A read-only view of ``pairs`` keyed by ``(smaller id, larger
+        id)``, built when read; its values are the stored histories."""
+        return MappingProxyType(
+            {(a, b): history for a, row in self.pairs.items() for b, history in row.items()}
+        )
 
     def decode(self, code: int) -> RelationTuple:
         return _decode(code, self.band_names)
@@ -221,12 +233,13 @@ class QXG:
         ``at_frame``, in ascending frame order, oriented as a-against-b."""
         if a == b:
             raise ValueError(f"a pair needs two distinct objects, got {a!r} twice")
-        key = (a, b) if a < b else (b, a)
-        history = self.edges.get(key)
+        first, second = (a, b) if a < b else (b, a)
+        row = self.pairs.get(first)
+        history = row.get(second) if row is not None else None
         if history is None:
             return []
         frames, codes = history.tail(at_frame, t)
-        if key[0] != a:
+        if first != a:
             n_bands = len(self.band_names)
             codes = [converse_code(code, n_bands) for code in codes]
         return list(zip(frames, codes))
@@ -238,11 +251,11 @@ class QXG:
         ending at ``at_frame``, sorted by id, each with those relations as
         ``(frame, code)`` pairs oriented as actor-against-partner."""
         start = at_frame - t + 1
-        partners = sorted(
-            second if first == actor else first
-            for first, second in self.edges
-            if actor in (first, second)
-        )
+        # the larger-id partners are the actor's row; a smaller-id partner
+        # holds the actor in its own row
+        partners = [first for first, row in self.pairs.items() if actor in row]
+        partners += self.pairs.get(actor, ())
+        partners.sort()
         found = []
         for other in partners:
             chain = self.code_chain(actor, other, at_frame, t)
@@ -288,9 +301,6 @@ class Builder:
         self._last_center: dict[str, tuple[float, float, int]] = {}
         self._last_index: int | None = None
         self._codes: dict[int, int] = {}
-        # The histories of graph.edges again, by smaller id then larger id,
-        # so the pair loop finds one without building a tuple key.
-        self._edge_rows: dict[str, dict[str, EdgeHistory]] = {}
 
     def push_frame(self, frame: Frame) -> BuilderStats:
         t0 = perf_counter_ns()
@@ -304,8 +314,7 @@ class Builder:
         eps = self.cfg.qtc_epsilon
         last_center = self._last_center
         node_classes = self.graph.node_classes
-        graph_edges = self.graph.edges
-        edge_rows = self._edge_rows
+        pairs = self.graph.pairs
         intern = self._codes.setdefault
 
         # One pass over the frame's box rows; the pair loop below touches
@@ -326,9 +335,9 @@ class Builder:
         for i, (a_id, axl, axh, ayl, ayh, acx, acy, a_prev, a_held) in enumerate(states):
             if a_prev is not None:
                 apx, apy, _ = a_prev
-            row = edge_rows.get(a_id)
+            row = pairs.get(a_id)
             if row is None:
-                row = edge_rows[a_id] = {}
+                row = pairs[a_id] = {}
             for b_id, bxl, bxh, byl, byh, bcx, bcy, b_prev, b_held in states[i + 1 :]:
 
                 # Interval relation per axis (exact endpoint ties).
@@ -406,7 +415,7 @@ class Builder:
                 else:
                     history = row.get(b_id)
                     if history is None:
-                        row[b_id] = graph_edges[(a_id, b_id)] = EdgeHistory([code], [frame_index, 0])
+                        row[b_id] = EdgeHistory([code], [frame_index, 0])
                     else:
                         history.runs += (frame_index, len(history.codes))
                         history.codes.append(code)
@@ -462,10 +471,17 @@ def relation_code(payload: dict, band_index: dict[str, int]) -> int:
     )
 
 
+def _sorted_pairs(graph: QXG):
+    """``(a, b, history)`` for every pair, sorted by ``a`` and then ``b``."""
+    for a in sorted(graph.pairs):
+        row = graph.pairs[a]
+        for b in sorted(row):
+            yield a, b, row[b]
+
+
 def graph_to_dict(graph: QXG) -> dict:
     edges_out = []
-    for (a, b) in sorted(graph.edges):
-        history = graph.edges[(a, b)]
+    for a, b, history in _sorted_pairs(graph):
         relations = [
             {"frame": frame, **relation_to_dict(graph.decode(code))}
             for frame, code in zip(history.frames, history.codes)
@@ -481,46 +497,70 @@ def graph_to_dict(graph: QXG) -> dict:
     }
 
 
+def _not_a_graph(problem: str) -> ValueError:
+    return ValueError(f"not a serialized scene graph: {problem}")
+
+
 def graph_from_dict(payload: dict) -> QXG:
-    """Rebuild a graph, checking what the accessors rely on: every edge
-    joins two known nodes stored as (smaller id, larger id), appears once,
-    and lists its frames as strictly increasing integers."""
+    """Rebuild a graph, checking what the accessors rely on: ids, classes
+    and band names are strings, the bands a non-empty list without repeats,
+    every node is listed once, every edge joins two known nodes stored as
+    (smaller id, larger id), appears once, and lists its frames as strictly
+    increasing signed 64-bit integers."""
     try:
-        band_names = tuple(payload["qdc_bands"])
-        graph = QXG(payload["scene_id"], band_names)
+        scene_id, band_names = payload["scene_id"], payload["qdc_bands"]
+        if type(scene_id) is not str:
+            raise _not_a_graph(f"scene_id {shown(scene_id)} is not a string")
+        if not (type(band_names) is list and band_names and all(type(n) is str for n in band_names)):
+            raise _not_a_graph(
+                f"qdc_bands must be a non-empty list of strings, got {shown(band_names)}"
+            )
+        band_names = tuple(band_names)
         band_index = {name: i for i, name in enumerate(band_names)}
         if len(band_index) != len(band_names):
-            raise ValueError(f"not a serialized scene graph: band names {band_names} repeat")
+            raise _not_a_graph(f"band names {band_names} repeat")
+        graph = QXG(scene_id, band_names)
+        pairs = graph.pairs
         intern = {}.setdefault  # equal codes share one int, as in Builder
         for node in payload["nodes"]:
-            graph.node_classes[node["id"]] = node["class"]
+            oid, obj_class = node["id"], node["class"]
+            if type(oid) is not str:
+                raise _not_a_graph(f"node id {shown(oid)} is not a string")
+            if type(obj_class) is not str:
+                raise _not_a_graph(f"node {oid!r} class {shown(obj_class)} is not a string")
+            if oid in pairs:
+                raise _not_a_graph(f"node {oid!r} is listed twice")
+            graph.node_classes[oid] = obj_class
+            pairs[oid] = {}
         for edge in payload["edges"]:
-            key = (edge["a"], edge["b"])
-            if not key[0] < key[1]:
+            a, b = key = (edge["a"], edge["b"])
+            if not a < b:
                 problem = "is not stored as (smaller id, larger id)"
-            elif key[0] not in graph.node_classes or key[1] not in graph.node_classes:
+            elif a not in pairs or b not in pairs:
                 problem = "joins an object that is not a node"
-            elif key in graph.edges:
+            elif b in pairs[a]:
                 problem = "appears twice"
             else:
                 problem = None
             if problem:
-                raise ValueError(f"not a serialized scene graph: edge {key} {problem}")
+                raise _not_a_graph(f"edge {shown(key)} {problem}")
             history = EdgeHistory()
             last = None
             for rel in edge["relations"]:
                 frame = rel["frame"]
                 if type(frame) is not int or (last is not None and frame <= last):
-                    raise ValueError(
-                        f"not a serialized scene graph: edge {key} frames must be strictly "
-                        f"increasing integers, got {frame!r} after {history.frames[-1:]}"
+                    raise _not_a_graph(
+                        f"edge {key} frames must be strictly increasing integers, "
+                        f"got {shown(frame)} after {history.frames[-1:]}"
                     )
+                if frame not in _INT64:
+                    raise _not_a_graph(f"edge {key} frame {shown(frame)} is outside signed 64 bits")
                 last = frame
                 code = relation_code(rel, band_index)
                 history.append(frame, intern(code, code))
-            graph.edges[key] = history
+            pairs[a][b] = history
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"not a serialized scene graph: {exc!r}") from None
+        raise _not_a_graph(repr(exc)) from None
     return graph
 
 
@@ -545,8 +585,8 @@ def export_graph(graph: QXG, fmt: str = "json") -> bytes:
             # quoting literally rather than get its backslash doubled.
             label = f"{_dot_escape(oid)}\\n({_dot_escape(graph.node_classes[oid])})"
             lines.append(f'  {_dot_quote(oid)} [label="{label}"];')
-        for (a, b) in sorted(graph.edges):
-            rel = relation_to_dict(graph.decode(graph.edges[(a, b)].codes[-1]))
+        for a, b, history in _sorted_pairs(graph):
+            rel = relation_to_dict(graph.decode(history.codes[-1]))
             label = "|".join((",".join(rel["ra"]), ",".join(rel["qtcb"]), rel["qdc"], rel["star4"]))
             lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [label={_dot_quote(label)}];")
         lines.append("}")

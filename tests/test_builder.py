@@ -535,6 +535,89 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             import_graph(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda p: p.update(scene_id=1), "scene_id 1 is not a string"),
+            (lambda p: p["nodes"].append({"id": 1, "class": "car"}), "node id 1 is not a string"),
+            (lambda p: p["nodes"][0].update({"class": None}), "node 'a' class None is not a string"),
+            (lambda p: p.update(qdc_bands="abc", edges=[]), "qdc_bands must be a non-empty list"),
+            (lambda p: p.update(qdc_bands=[], edges=[]), "qdc_bands must be a non-empty list"),
+            (lambda p: p.update(qdc_bands=[1, 2], edges=[]), "qdc_bands must be a non-empty list"),
+            (lambda p: p["nodes"].append({"id": "a", "class": "truck"}), "node 'a' is listed twice"),
+            (
+                lambda p: p["edges"][0]["relations"][-1].update(frame=2**63),
+                f"edge ('a', 'b') frame {2**63} is outside signed 64 bits",
+            ),
+            (
+                lambda p: p["edges"][0]["relations"][0].update(frame=-(2**63) - 1),
+                f"edge ('a', 'b') frame {-(2**63) - 1} is outside signed 64 bits",
+            ),
+        ],
+        ids=[
+            "int-scene-id", "int-node-id", "null-class", "bands-string", "bands-empty",
+            "bands-not-strings", "repeated-node", "frame-past-int64", "frame-before-int64",
+        ],
+    )
+    def test_import_refuses_what_the_accessors_cannot_read(self, damage, problem):
+        graph = build(Scene("s", tuple(_frame(f, _state("a", 0, 0), _state("b", 3, f)) for f in range(3))))
+        payload = json.loads(export_graph(graph))
+        damage(payload)
+        with pytest.raises(ValueError) as refused:
+            import_graph(json.dumps(payload))
+        assert str(refused.value).startswith(f"not a serialized scene graph: {problem}")
+
+
+class TestOnePairStore:
+    """``QXG.pairs`` is the one store; ``QXG.edges`` is a read-only view."""
+
+    def test_the_program_never_reads_the_edges_view(self, monkeypatch):
+        from qxg.explainer import Hyperparams, build_dataset, explain, train
+        from qxg.synthgen import STOPPING_FOR_CROSSER, ScenarioSpec, generate_corpus, generate_scene
+
+        train_items, test_items = generate_corpus(4, 2, master_seed=5)
+        model = train(
+            build_dataset([(s, a) for s, a, _ in train_items], t=3),
+            seed=1,
+            hyperparams=Hyperparams(n_trees=4, max_depth=4),
+        )
+
+        def refuse(self):
+            raise AssertionError("QXG.edges was read")
+
+        monkeypatch.setattr(QXG, "edges", property(refuse))
+        scene = _flicker_scene(0)
+        graph = build(scene)
+        ids = sorted(graph.node_classes)
+        found = 0
+        for actor in ids:
+            for frame in scene.frames:
+                found += len(graph.window_chains(actor, frame.index, 4))
+            for other in ids:
+                if other != actor:
+                    assert graph.code_chain(actor, other, math.inf, 3)
+        assert found > len(scene.frames)
+        blob = export_graph(graph)
+        assert export_graph(graph, fmt="dot").count(b" -- ") == sum(map(len, graph.pairs.values()))
+        assert import_graph(blob) == graph
+        for scene, annotation, _ in test_items:
+            explained = explain(
+                model, build(scene), annotation.actor_id, annotation.frame_index, annotation.action
+            )
+            assert explained.candidates
+        generate_scene(ScenarioSpec(STOPPING_FOR_CROSSER, jitter_sigma=0.3, seed=3))
+
+    def test_edges_is_a_read_only_view_of_the_stored_histories(self):
+        graph = build(_flicker_scene(1))
+        view = graph.edges
+        assert view == {(a, b): h for a, row in graph.pairs.items() for b, h in row.items()}
+        assert all(view[(a, b)] is graph.pairs[a][b] for a, b in view)
+        with pytest.raises(TypeError):
+            view[("f0", "f1")] = EdgeHistory()
+        for history in graph.edges.values():
+            history.codes[:] = [0] * len(history.codes)
+        assert {code for row in graph.pairs.values() for h in row.values() for code in h.codes} == {0}
+
 
 def test_empty_frames_are_harmless():
     builder = Builder("s")
