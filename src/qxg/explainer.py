@@ -189,9 +189,20 @@ class EncodingSpec:
         np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], 1.0)
         return X
 
+    @cached_property
+    def _feature_names(self) -> dict[int, str]:
+        """The names ``describe_feature`` gave so far, by feature index."""
+        return {}
+
     def describe_feature(self, index: int) -> str:
         """Human name of one feature, e.g. ``frame-2 x=Before`` (two frames
         before the annotation, x intervals related by Before)."""
+        name = self._feature_names.get(index)
+        if name is None:
+            name = self._feature_names[index] = self._name_feature(index)
+        return name
+
+    def _name_feature(self, index: int) -> str:
         if not 0 <= index < self.feature_len:
             raise IndexError(f"feature index {index} out of range 0..{self.feature_len - 1}")
         slot, within = divmod(index, self.slot_width)

@@ -23,9 +23,10 @@ timestamp, an id twice in one frame, no frames) or ``OrderingViolation``
 ``load_trace`` writes each frame straight into columns: the object ids, the
 classes, and one ``(x.lo, x.hi, y.lo, y.hi)`` float row per box.  It builds
 no ``Interval``, ``BBox2D`` or ``ObjectState``: ``Frame.rows`` hands
-``Builder.push_frame`` the columns, and a parsed frame builds its
-``objects`` the first time they are read, and only then.  A parsed frame
-equals, hashes, prints, pickles and copies like the same frame built from
+``Builder.push_frame`` and ``serialize_scene`` the columns, and a parsed
+frame builds its ``objects`` the first time they are read, and only then.
+``synthgen`` assembles its frames the same way.  A parsed frame equals,
+hashes, prints, pickles and copies like the same frame built from
 ``ObjectState`` values.
 """
 
@@ -467,15 +468,8 @@ def serialize_scene(
             "index": frame.index,
             "timestamp": frame.timestamp,
             "objects": [
-                {
-                    "id": s.object_id,
-                    "class": s.obj_class,
-                    "bbox": {
-                        "x": [s.bbox.x.lo, s.bbox.x.hi],
-                        "y": [s.bbox.y.lo, s.bbox.y.hi],
-                    },
-                }
-                for s in frame.objects
+                {"id": object_id, "class": obj_class, "bbox": {"x": [xl, xh], "y": [yl, yh]}}
+                for object_id, obj_class, (xl, xh, yl, yh) in frame.rows()
             ],
         }
         out.append(json.dumps(record, separators=(",", ":")))

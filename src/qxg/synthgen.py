@@ -28,6 +28,19 @@ relations inside the window: every randomized object is accepted only if
 its window geometry clears safety margins around all relation boundaries,
 and jitter is a per-object constant offset, re-drawn if it would flip any
 windowed relation.  Positions elsewhere in the scene are free to vary.
+
+The jitter check compares the ego's windowed chains with and without the
+offsets.  It builds each graph from the objects with a position in the
+window, over the frames from the last one before the window that holds any
+of them up to the annotation, not from the whole scene.  Nothing else can
+change those chains: a pair's relations depend only on its two objects, a
+frame's only on the frames up to it, and an object's motion only on where
+it was last seen.  A draw that fails the check is refused with
+:class:`GenerationFailed`, as is a distractor that finds no safe placement.
+
+Frames are assembled as the id, class and box-row columns that
+``load_trace`` makes, so no per-box object is built unless a caller reads
+``frame.objects``.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ import numpy as np
 from .builder import build
 from .calculi import BBox2D, DEFAULT_CONFIG
 from .defs import CLEAR_CRUISE, GAP_ACCELERATE, KINDS, LEAD_VEHICLE_BRAKING, STOPPING_FOR_CROSSER
-from .scene import ActionAnnotation, Frame, NO_CAUSE, ObjectState, Scene
+from .scene import _FLOAT_MAX, ActionAnnotation, Frame, NO_CAUSE, Scene, _Columns
 
 __all__ = [
     "STOPPING_FOR_CROSSER",
@@ -55,6 +68,7 @@ __all__ = [
     "EGO_ID",
     "ScenarioSpec",
     "GroundTruth",
+    "GenerationFailed",
     "generate_scene",
     "generate_scenes",
     "generate_dataset",
@@ -110,6 +124,12 @@ class ScenarioSpec:
             raise ValueError(f"cruise_twin must be 'l12', 'l45' or None, got {self.cruise_twin!r}")
         if self.cruise_twin is not None and self.kind != CLEAR_CRUISE:
             raise ValueError("cruise_twin only applies to ClearCruise scenes")
+
+
+class GenerationFailed(ValueError):
+    """The spec's random draws found no scene that keeps the planted
+    relations: a distractor with no safe placement, or jitter that keeps
+    flipping a windowed relation."""
 
 
 @dataclass(frozen=True)
@@ -213,7 +233,7 @@ def _draw_until_safe(draw, ego: _Track, window: range) -> _Track:
         candidate = draw()
         if _margins_ok(ego, candidate, window):
             return candidate
-    raise RuntimeError("could not place a distractor clear of relation boundaries")
+    raise GenerationFailed("could not place a distractor clear of relation boundaries")
 
 
 def _paced_car(rng: random.Random, ego_ys: list[float], ahead: bool) -> _Track:
@@ -318,25 +338,59 @@ def _build_tracks(spec: ScenarioSpec, rng: random.Random) -> tuple[dict[str, _Tr
 
 
 def _assemble(
-    scene_id: str, tracks: dict[str, _Track], offsets: dict[str, tuple[float, float]]
+    scene_id: str,
+    tracks: dict[str, _Track],
+    offsets: dict[str, tuple[float, float]],
+    indices: range = range(_N_FRAMES),
 ) -> Scene:
+    """The scene's frames at ``indices``, as columns.  One comparison
+    holds each box row to the ``Interval`` rules (finite, lo <= hi); a row
+    that fails it goes to ``BBox2D.from_bounds``, which raises that rule's
+    error."""
     frames = []
-    for f in range(_N_FRAMES):
-        states = []
+    for f in indices:
+        ids, classes, rows = [], [], []
         for oid, track in tracks.items():
-            if f not in track.pos:
+            pos = track.pos.get(f)
+            if pos is None:
                 continue
-            cx, cy = track.pos[f]
+            cx, cy = pos
             off = offsets.get(oid)
             if off is not None:
                 cx += off[0]
                 cy += off[1]
             hx, hy = track.half
-            states.append(
-                ObjectState(oid, track.obj_class, BBox2D.from_bounds(cx - hx, cx + hx, cy - hy, cy + hy))
-            )
-        frames.append(Frame(f, f * 0.5, tuple(states)))
+            row = (cx - hx, cx + hx, cy - hy, cy + hy)
+            if not (
+                -_FLOAT_MAX <= row[0] <= row[1] <= _FLOAT_MAX
+                and -_FLOAT_MAX <= row[2] <= row[3] <= _FLOAT_MAX
+            ):
+                BBox2D.from_bounds(*row)
+            ids.append(oid)
+            classes.append(track.obj_class)
+            rows.append(row)
+        frames.append(Frame(f, f * 0.5, _Columns(ids, classes, rows)))
     return Scene(scene_id, tuple(frames))
+
+
+def _ego_window(
+    scene_id: str,
+    tracks: dict[str, _Track],
+    offsets: dict[str, tuple[float, float]],
+    ann_frame: int,
+) -> list:
+    """``window_chains(EGO_ID, ann_frame, _WINDOW)`` of the scene with
+    ``offsets``, built from what those chains depend on (see the module
+    docstring): the tracks seen in the window, from the last frame before
+    it that holds one of them, to the annotation."""
+    window = range(ann_frame - _WINDOW + 1, ann_frame + 1)
+    seen = {oid: track for oid, track in tracks.items() if not track.pos.keys().isdisjoint(window)}
+    first = min(
+        max((f for f in track.pos if f < window.start), default=window.start)
+        for track in seen.values()
+    )
+    scene = _assemble(scene_id, seen, offsets, range(first, ann_frame + 1))
+    return build(scene).window_chains(EGO_ID, ann_frame, _WINDOW)
 
 
 def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundTruth]:
@@ -346,40 +400,39 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
     tracks, cause, ann_frame = _build_tracks(spec, rng)
     scene_id = f"{spec.kind}-{spec.seed:x}"
 
-    clean = _assemble(scene_id, tracks, {})
     if spec.jitter_sigma == 0.0:
-        scene = clean
+        scene = _assemble(scene_id, tracks, {})
     else:
         # jitter must perturb coordinates without flipping any windowed
         # relation, otherwise the planted ground truth would silently rot
-        reference = build(clean).window_chains(EGO_ID, ann_frame, _WINDOW)
+        reference = _ego_window(scene_id, tracks, {}, ann_frame)
         for _ in range(50):
             offsets = {
                 oid: (rng.gauss(0.0, spec.jitter_sigma), rng.gauss(0.0, spec.jitter_sigma))
                 for oid in tracks
             }
             scene = _assemble(scene_id, tracks, offsets)
-            if build(scene).window_chains(EGO_ID, ann_frame, _WINDOW) == reference:
+            if _ego_window(scene_id, tracks, offsets, ann_frame) == reference:
                 break
         else:
-            raise RuntimeError(
+            raise GenerationFailed(
                 f"jitter sigma {spec.jitter_sigma} keeps flipping windowed relations; "
                 "the margins assume something closer to 0.1"
             )
 
     annotation = ActionAnnotation(scene_id, ann_frame, EGO_ID, ACTION_FOR_KIND[spec.kind])
 
-    frame = scene.frame_at(ann_frame)
-    ego_state = frame.get(EGO_ID)
-    nearest = None
-    best = None
-    for state in frame.objects:
-        if state.object_id == EGO_ID:
-            continue
-        d = ego_state.center.distance_to(state.center)
-        if best is None or (d, state.object_id) < best:
-            best = (d, state.object_id)
-            nearest = state.object_id
+    # the object nearest the ego's centre, ties to the smaller id
+    centres = {
+        oid: ((xl + xh) / 2.0, (yl + yh) / 2.0)
+        for oid, _, (xl, xh, yl, yh) in scene.frame_at(ann_frame).rows()
+    }
+    ex, ey = centres.pop(EGO_ID)
+    nearest = min(
+        centres,
+        key=lambda oid: (hypot(ex - centres[oid][0], ey - centres[oid][1]), oid),
+        default=None,
+    )
     truth = GroundTruth(scene_id, annotation, cause, nearest, spec.kind)
     return scene, annotation, truth
 

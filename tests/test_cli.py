@@ -146,6 +146,21 @@ class TestGen:
         assert message in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "jitter, message",
+        [
+            ("5", "jitter sigma 5.0 keeps flipping windowed relations; "
+                  "the margins assume something closer to 0.1"),
+            ("1e308", "interval endpoints must be finite, got [-inf, -inf]"),
+        ],
+        ids=["flips-relations", "overflows-a-box"],
+    )
+    def test_jitter_no_scene_survives_is_a_refusal(self, tmp_path, jitter, message):
+        result = run_cli("gen", "--scenes", "2", "--jitter", jitter, "--out", str(tmp_path / "d"), timeout=20)
+        assert result.returncode == 1
+        assert result.stderr == f"error: gen: {message}\n"
+        assert "Traceback" not in result.stderr
+
     def test_distractor_bound_is_inclusive(self, tmp_path):
         result = run_cli("gen", "--scenes", "1", "--distractors", "200", "--out", str(tmp_path / "d"))
         assert result.returncode == 0, result.stderr

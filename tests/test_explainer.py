@@ -158,6 +158,14 @@ class TestEncodingSpec:
         with pytest.raises(IndexError):
             SPEC.describe_feature(-1)
 
+    def test_describe_feature_keeps_only_the_names_asked_for(self):
+        spec = EncodingSpec(t=3, band_names=("a", "b"))
+        first = spec.describe_feature(40)
+        assert spec.describe_feature(40) is first
+        with pytest.raises(IndexError, match=r"^feature index 999 out of range 0\.\.122$"):
+            spec.describe_feature(999)
+        assert spec._feature_names == {40: first}
+
     @pytest.mark.parametrize(
         "spec", [SPEC, EncodingSpec(t=3, band_names=("a", "b"))], ids=["default", "two-band-t3"]
     )

@@ -24,7 +24,7 @@ from qxg.explainer import (
     train,
 )
 from qxg.scene import CauseRecord, serialize_scene
-from qxg.synthgen import generate_corpus
+from qxg.synthgen import CLEAR_CRUISE, ScenarioSpec, generate_corpus, generate_scenes
 
 GOLDEN = {
     "traces": "4a2022533e98943807ce57cd3fcc5cc68d8dfb71b152916e151bba26dea104d6",
@@ -34,6 +34,11 @@ GOLDEN = {
     "explanations": "24f9d2c4533f16e603d15ee197a3f9365749a5ea51f47a351570746998de9525",
     "eval": "ece92e8bc344f4f2e6b05887f6d2707503ebe9c33df1cae6f7fdaa2ea5ba81d7",
 }
+
+# 40 scenes with 10 distractors each and jitter sigma 0.3, where the jitter
+# check refuses a draw four times: the traces, then the
+# nearest-object answers as one JSON line
+JITTERED_CORPUS = "b77f66e182fe338d8538d69449268f3e76a379270f913febd6b999dd4783e47f"
 
 
 def _digest(blobs) -> str:
@@ -86,7 +91,27 @@ def test_pipeline_outputs_are_byte_identical():
     assert not moved, f"outputs changed: {moved}; digests now {digests}"
 
 
+def jittered_corpus_outputs() -> list[bytes]:
+    items = generate_scenes(
+        40, ScenarioSpec(CLEAR_CRUISE, n_distractors=10, jitter_sigma=0.3), master_seed=7
+    )
+    traces = [
+        serialize_scene(
+            scene,
+            [annotation],
+            [CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)],
+        )
+        for scene, annotation, truth in items
+    ]
+    return traces + [json.dumps([truth.nearest_id for _, _, truth in items]).encode("utf-8")]
+
+
+def test_jittered_corpus_is_byte_identical():
+    assert _digest(jittered_corpus_outputs()) == JITTERED_CORPUS
+
+
 if __name__ == "__main__":
     # prints the current digests, for recording a deliberate output change
     for name, blobs in pipeline_outputs().items():
         print(f'    "{name}": "{_digest(blobs)}",')
+    print(f'JITTERED_CORPUS = "{_digest(jittered_corpus_outputs())}"')

@@ -1,12 +1,15 @@
 """Scenario generator: determinism, planted geometry, corpus plumbing."""
 
+import random
+
 import numpy as np
 import pytest
 
+from qxg import synthgen
 from qxg.builder import build
-from qxg.calculi import Motion
+from qxg.calculi import BBox2D, Motion
 from qxg.explainer import EncodingSpec, extract_features
-from qxg.scene import NO_CAUSE, serialize_scene
+from qxg.scene import NO_CAUSE, ActionAnnotation, Frame, ObjectState, Scene, serialize_scene
 from qxg.synthgen import (
     ACTION_FOR_KIND,
     CLEAR_CRUISE,
@@ -15,6 +18,8 @@ from qxg.synthgen import (
     KINDS,
     LEAD_VEHICLE_BRAKING,
     STOPPING_FOR_CROSSER,
+    GenerationFailed,
+    GroundTruth,
     ScenarioSpec,
     generate_corpus,
     generate_dataset,
@@ -271,3 +276,142 @@ class TestCorpusPlumbing:
         items = generate_dataset(25, master_seed=17)  # 100 scenes
         train, test = split_scenes(items, train_fraction=0.7)
         assert 55 <= len(train) <= 85
+
+
+def _whole_scene_reference(spec):
+    """``generate_scene`` as first written: every box an ``ObjectState``,
+    and each jitter check graph built from the whole scene.  The generator
+    must give the same bytes, truth and errors (its ``GenerationFailed``
+    was a ``RuntimeError`` here)."""
+    rng = random.Random(spec.seed)
+    tracks, cause, ann_frame = synthgen._build_tracks(spec, rng)
+    scene_id = f"{spec.kind}-{spec.seed:x}"
+
+    def assemble(offsets):
+        frames = []
+        for f in range(12):
+            states = []
+            for oid, track in tracks.items():
+                if f not in track.pos:
+                    continue
+                cx, cy = track.pos[f]
+                off = offsets.get(oid)
+                if off is not None:
+                    cx += off[0]
+                    cy += off[1]
+                hx, hy = track.half
+                bbox = BBox2D.from_bounds(cx - hx, cx + hx, cy - hy, cy + hy)
+                states.append(ObjectState(oid, track.obj_class, bbox))
+            frames.append(Frame(f, f * 0.5, tuple(states)))
+        return Scene(scene_id, tuple(frames))
+
+    scene = assemble({})
+    if spec.jitter_sigma != 0.0:
+        reference = build(scene).window_chains(EGO_ID, ann_frame, 5)
+        for _ in range(50):
+            offsets = {
+                oid: (rng.gauss(0.0, spec.jitter_sigma), rng.gauss(0.0, spec.jitter_sigma))
+                for oid in tracks
+            }
+            scene = assemble(offsets)
+            if build(scene).window_chains(EGO_ID, ann_frame, 5) == reference:
+                break
+        else:
+            raise RuntimeError(
+                f"jitter sigma {spec.jitter_sigma} keeps flipping windowed relations; "
+                "the margins assume something closer to 0.1"
+            )
+    annotation = ActionAnnotation(scene_id, ann_frame, EGO_ID, ACTION_FOR_KIND[spec.kind])
+    frame = scene.frame_at(ann_frame)
+    ego_state = frame.get(EGO_ID)
+    nearest = None
+    best = None
+    for state in frame.objects:
+        if state.object_id == EGO_ID:
+            continue
+        d = ego_state.center.distance_to(state.center)
+        if best is None or (d, state.object_id) < best:
+            best = (d, state.object_id)
+            nearest = state.object_id
+    truth = GroundTruth(scene_id, annotation, cause, nearest, spec.kind)
+    return scene, annotation, truth
+
+
+def _outcome(generate, spec):
+    """What ``generate(spec)`` gives: the trace bytes and the truth, or the
+    error's type and message."""
+    try:
+        scene, annotation, truth = generate(spec)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return serialize_scene(scene, [annotation]), truth
+
+
+_KIND_TWINS = [(kind, None) for kind in KINDS] + [(CLEAR_CRUISE, "l12"), (CLEAR_CRUISE, "l45")]
+
+
+class TestMatchesWholeSceneReference:
+    """The window-only jitter check and the column frames change no output:
+    every spec gives the reference's bytes and truth, or its error."""
+
+    @staticmethod
+    def _check(spec):
+        """Compare one spec; return the error type it raised, if any."""
+        expected = _outcome(_whole_scene_reference, spec)
+        got = _outcome(generate_scene, spec)
+        if expected[0] is RuntimeError:
+            expected = (GenerationFailed, expected[1])
+        assert got == expected, spec
+        return got[0] if isinstance(got[0], type) else None
+
+    @pytest.mark.parametrize("kind, twin", _KIND_TWINS, ids=lambda v: str(v))
+    def test_sweep(self, kind, twin):
+        for n_distractors in (0, 1, 2, 5, 10):
+            for sigma in (0.0, 0.1, 0.3):
+                for seed in (*range(12), 2**32 + 5, 2**63 + 11):
+                    spec = ScenarioSpec(kind, n_distractors, sigma, seed, twin)
+                    assert self._check(spec) is None
+
+    @pytest.mark.parametrize(
+        "sigma, error",
+        [(5.0, GenerationFailed), (1e300, GenerationFailed), (1e308, ValueError)],
+    )
+    def test_failing_draws(self, sigma, error):
+        outcomes = [
+            self._check(ScenarioSpec(kind, n_distractors, sigma, seed, twin))
+            for kind, twin in _KIND_TWINS
+            for n_distractors in (0, 5)
+            for seed in (3, 4)
+        ]
+        assert error in outcomes
+
+
+class TestWindowOnlyCheck:
+    @pytest.mark.parametrize("kind, twin", _KIND_TWINS, ids=lambda v: str(v))
+    def test_chains_match_the_whole_scene(self, kind, twin):
+        """The check's chains equal the whole scene's, for any offsets and
+        with a track that leaves and comes back inside the window."""
+        for seed in range(10):
+            rng = random.Random(seed)
+            spec = ScenarioSpec(kind, 5, seed=seed, cruise_twin=twin)
+            tracks, _, ann = synthgen._build_tracks(spec, rng)
+            gap = synthgen._Track("cyclist", (0.4, 0.9))
+            gap.pos = {1: (6.0, 3.0), 2: (6.5, 3.5), ann - 2: (4.0, 9.0), ann: (4.0, 12.0)}
+            tracks["gap"] = gap
+            offsets = {oid: (rng.gauss(0.0, 2.0), rng.gauss(0.0, 2.0)) for oid in tracks}
+            whole = build(synthgen._assemble("s", tracks, offsets)).window_chains(EGO_ID, ann, 5)
+            assert synthgen._ego_window("s", tracks, offsets, ann) == whole
+
+
+class TestGenerationFailed:
+    def test_unplaceable_distractor(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "_margins_ok", lambda ego, other, window: False)
+        message = "^could not place a distractor clear of relation boundaries$"
+        with pytest.raises(GenerationFailed, match=message):
+            generate_scene(ScenarioSpec(CLEAR_CRUISE, n_distractors=1))
+
+    def test_lost_margins_stay_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "_margins_ok", lambda ego, other, window: False)
+        with pytest.raises(RuntimeError, match="lost its safety margins") as caught:
+            generate_scene(ScenarioSpec(LEAD_VEHICLE_BRAKING, n_distractors=1))
+        assert not isinstance(caught.value, ValueError)
