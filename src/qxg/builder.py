@@ -459,16 +459,24 @@ def relation_to_dict(rel: RelationTuple) -> dict:
 
 def relation_code(payload: dict, band_index: dict[str, int]) -> int:
     """Inverse of :func:`relation_to_dict`, straight to the packed code;
-    ``band_index`` maps each distance band name to its index."""
-    return pack_code(
-        ALLEN_BY_LABEL[payload["ra"][0]],
-        ALLEN_BY_LABEL[payload["ra"][1]],
-        MOTION_BY_LABEL[payload["qtcb"][0]],
-        MOTION_BY_LABEL[payload["qtcb"][1]],
+    ``band_index`` maps each distance band name to its index.  ``ra`` and
+    ``qtcb`` each hold exactly two labels."""
+    ra, qtcb = payload["ra"], payload["qtcb"]
+    code = pack_code(
+        ALLEN_BY_LABEL[ra[0]],
+        ALLEN_BY_LABEL[ra[1]],
+        MOTION_BY_LABEL[qtcb[0]],
+        MOTION_BY_LABEL[qtcb[1]],
         band_index[payload["qdc"]],
         SECTOR_BY_LABEL[payload["star4"]],
         len(band_index),
     )
+    # checked after the lookups, which refuse a shorter list or a non-list
+    if len(ra) != 2 or len(qtcb) != 2:
+        raise _not_a_graph(
+            f"ra and qtcb must each hold two labels, got {shown(ra)} and {shown(qtcb)}"
+        )
+    return code
 
 
 def _sorted_pairs(graph: QXG):

@@ -34,6 +34,7 @@ __all__ = [
     "RelationTuple",
     "CalculiConfig",
     "DEFAULT_CONFIG",
+    "MAX_BANDS",
     "allen_relation",
     "ra_relation",
     "qtcb_relation",
@@ -243,6 +244,18 @@ def _is_finite_real(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# Every distance band adds one feature per chain slot, so a dataset row is
+# t x (39 + bands) floats wide.  ``qxg train`` on a 200-scene
+# ``qxg gen --seed 7`` corpus (2-vCPU VM; time, peak RSS):
+#   t=5:   5 bands 0.7 s, 44 MB; 500 bands 0.7 s, 55 MB; 1,000 1.0 s, 65 MB;
+#          2,000 1.1 s, 88 MB; 5,000 1.5 s, 163 MB
+#   t=256: 5 bands 1.9 s, 152 MB; 16 2.5 s, 181 MB; 64 3.4 s, 295 MB;
+#          256 8.5 s, 740 MB
+# The bound keeps the longest chains (``MAX_CHAIN_LENGTH``) under about
+# 300 MB on that corpus.  At t=5, 100,000 bands would be 4 MB per row.
+MAX_BANDS = 64
+
+
 @dataclass(frozen=True)
 class CalculiConfig:
     """Tunables for the distance bands and the trajectory dead band.
@@ -275,6 +288,10 @@ class CalculiConfig:
             raise ValueError(f"band edges must be strictly increasing: {self.qdc_band_edges}")
         if self.qtc_epsilon < 0:
             raise ValueError("qtc_epsilon must be non-negative")
+        if len(self.qdc_band_names) > MAX_BANDS:
+            raise ValueError(
+                f"at most {MAX_BANDS} distance bands, got {len(self.qdc_band_names)}"
+            )
 
     def band_for_distance(self, distance: float) -> QDCRelation:
         idx = bisect_right(self.qdc_band_edges, distance)

@@ -817,11 +817,12 @@ def model_from_json(data: bytes | str) -> Model:
         cfg = replace_from_json(DEFAULT_CONFIG, payload["calculi"], "calculi", require_all=True)
         spec = EncodingSpec(payload["t"], cfg.qdc_band_names)
         hp = replace_from_json(Hyperparams(), payload["hyperparams"], "hyperparams", require_all=True)
-        if payload["encoding"]["feature_len"] != spec.feature_len:
-            raise CorruptModel(
-                f"stored feature_len {payload['encoding']['feature_len']} does not match "
-                f"the stored encoding parameters ({spec.feature_len})"
-            )
+        for key in ("feature_len", "slot_width"):  # redundant with t and the bands
+            if payload["encoding"][key] != getattr(spec, key):
+                raise CorruptModel(
+                    f"stored {key} {payload['encoding'][key]} does not match "
+                    f"the stored encoding parameters ({getattr(spec, key)})"
+                )
         if not isinstance(payload["actions"], dict):
             raise CorruptModel("\"actions\" must be a JSON object")
         forests = {

@@ -175,6 +175,12 @@ class Frame:
                     _typed("id", state.object_id, str)
                 if type(state.obj_class) is not str:
                     _typed("class", state.obj_class, str)
+                box = state.bbox
+                if not (type(box) is BBox2D and type(box.x) is type(box.y) is Interval):
+                    raise SchemaViolation(
+                        f"object {state.object_id!r} bbox must be a BBox2D of two Intervals, "
+                        f"got {shown(box)}"
+                    )
             ids = [state.object_id for state in objects]
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
@@ -275,6 +281,15 @@ class CauseRecord:
     cause_id: str  # NO_CAUSE when the action has no causal object
 
 
+# Each annotation kind: the record a line of that kind makes, and the field
+# that the line's last key, the kind's own name, fills.  Both kinds share the
+# "frame" and "actor" keys.
+_ANNOTATIONS = {"action": (ActionAnnotation, "action"), "cause": (CauseRecord, "cause_id")}
+# a tuple, not the dict: `in` then tests by equality, and a JSON list or
+# object as "type" is an unknown type, not a TypeError from hashing it
+_RECORD_KINDS = ("frame", *_ANNOTATIONS)
+
+
 def _require(record: dict, key: str, kind, line_no: int):
     if key not in record:
         raise SchemaViolation(f"missing field {key!r}", line_no)
@@ -310,6 +325,31 @@ def _parse_object(raw, line_no: int) -> tuple[str, str, tuple[float, float, floa
     return object_id, obj_class, (x.lo, x.hi, y.lo, y.hi)
 
 
+def _parse_annotation(kind: str, record: dict, scene_id: str, line_no: int | None):
+    """The ``kind`` annotation that trace line ``record`` states, each field
+    typed; ``serialize_scene`` reads the lines it writes through this too."""
+    record_type, _ = _ANNOTATIONS[kind]
+    keys = (("frame", int), ("actor", str), (kind, str))
+    return record_type(scene_id, *(_require(record, key, want, line_no) for key, want in keys))
+
+
+def _check_references(kind: str, annotation, frame: Frame | None) -> None:
+    """``DanglingAnnotation`` unless ``frame``, the scene's frame at
+    ``annotation.frame_index``, exists and holds the actor and any cause
+    object that ``annotation`` names."""
+    if frame is None:
+        raise DanglingAnnotation(f"{kind} refers to missing frame {annotation.frame_index}")
+    ids = [object_id for object_id, _, _ in frame.rows()]
+    if annotation.actor_id not in ids:
+        raise DanglingAnnotation(
+            f"actor {annotation.actor_id!r} is not present in frame {annotation.frame_index}"
+        )
+    if kind == "cause" and annotation.cause_id != NO_CAUSE and annotation.cause_id not in ids:
+        raise DanglingAnnotation(
+            f"cause object {annotation.cause_id!r} is not present in frame {annotation.frame_index}"
+        )
+
+
 TraceInput = Union[str, bytes, IO]
 
 
@@ -338,9 +378,8 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
     """
     scene_id: str | None = None
     frames: list[Frame] = []
-    frame_ids: dict[int, list[str]] = {}
-    raw_annotations: list[tuple[ActionAnnotation, int]] = []
-    raw_causes: list[tuple[CauseRecord, int]] = []
+    frames_at: dict[int, Frame] = {}
+    annotations: dict[str, list] = {kind: [] for kind in _ANNOTATIONS}  # (record, line)
 
     line_no = 0
     for line in _iter_lines(data):
@@ -368,9 +407,11 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
                     f"unsupported trace version {version} (expected {TRACE_VERSION})", line_no
                 )
             scene_id = _require(record, "scene_id", str, line_no)
+        elif kind not in _RECORD_KINDS:
+            raise SchemaViolation(f"unknown record type {kind!r}", line_no)
+        elif scene_id is None:
+            raise SchemaViolation(f"{kind} before header", line_no)
         elif kind == "frame":
-            if scene_id is None:
-                raise SchemaViolation("frame before header", line_no)
             index = _require(record, "index", int, line_no)
             timestamp = _require(record, "timestamp", float, line_no)
             ids: list[str] = []
@@ -403,50 +444,23 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
             except TraceError as exc:
                 raise exc.at(line_no) from None
             frames.append(frame)
-            frame_ids[index] = ids
-        elif kind == "action":
-            if scene_id is None:
-                raise SchemaViolation("action before header", line_no)
-            ann = ActionAnnotation(
-                scene_id,
-                _require(record, "frame", int, line_no),
-                _require(record, "actor", str, line_no),
-                _require(record, "action", str, line_no),
-            )
-            raw_annotations.append((ann, line_no))
-        elif kind == "cause":
-            if scene_id is None:
-                raise SchemaViolation("cause before header", line_no)
-            cause = CauseRecord(
-                scene_id,
-                _require(record, "frame", int, line_no),
-                _require(record, "actor", str, line_no),
-                _require(record, "cause", str, line_no),
-            )
-            raw_causes.append((cause, line_no))
+            frames_at[index] = frame
         else:
-            raise SchemaViolation(f"unknown record type {kind!r}", line_no)
+            annotations[kind].append((_parse_annotation(kind, record, scene_id, line_no), line_no))
 
     if scene_id is None:
         raise SchemaViolation("trace has no header", line_no or None)
     scene = Scene(scene_id, tuple(frames))  # refuses a trace with no frames
 
-    for kind, records in (("action", raw_annotations), ("cause", raw_causes)):
+    for kind, records in annotations.items():
         for record, at_line in records:
-            ids = frame_ids.get(record.frame_index)
-            if ids is None:
-                raise DanglingAnnotation(f"{kind} refers to missing frame {record.frame_index}", at_line)
-            if record.actor_id not in ids:
-                raise DanglingAnnotation(
-                    f"actor {record.actor_id!r} is not present in frame {record.frame_index}", at_line
-                )
-            if kind == "cause" and record.cause_id != NO_CAUSE and record.cause_id not in ids:
-                raise DanglingAnnotation(
-                    f"cause object {record.cause_id!r} is not present in frame {record.frame_index}",
-                    at_line,
-                )
+            try:
+                _check_references(kind, record, frames_at.get(record.frame_index))
+            except TraceError as exc:
+                raise exc.at(at_line) from None
 
-    return scene, [a for a, _ in raw_annotations], [c for c, _ in raw_causes]
+    actions, causes = ([record for record, _ in records] for records in annotations.values())
+    return scene, actions, causes
 
 
 def serialize_scene(
@@ -455,7 +469,9 @@ def serialize_scene(
     causes: Iterable[CauseRecord] = (),
 ) -> bytes:
     """Serialize back to JSON Lines. ``load_trace`` of the result is an
-    exact inverse (floats survive via their shortest-repr decimal forms)."""
+    exact inverse (floats survive via their shortest-repr decimal forms).
+    An annotation that ``load_trace`` would refuse, or that belongs to
+    another scene, raises the same ``TraceError``, with no line number."""
     out = [
         json.dumps(
             {"type": "header", "scene_id": scene.scene_id, "version": TRACE_VERSION},
@@ -473,28 +489,22 @@ def serialize_scene(
             ],
         }
         out.append(json.dumps(record, separators=(",", ":")))
-    for ann in annotations:
-        out.append(
-            json.dumps(
-                {
-                    "type": "action",
-                    "frame": ann.frame_index,
-                    "actor": ann.actor_id,
-                    "action": ann.action,
-                },
-                separators=(",", ":"),
-            )
-        )
-    for cause in causes:
-        out.append(
-            json.dumps(
-                {
-                    "type": "cause",
-                    "frame": cause.frame_index,
-                    "actor": cause.actor_id,
-                    "cause": cause.cause_id,
-                },
-                separators=(",", ":"),
-            )
-        )
+    frames_at = {frame.index: frame for frame in scene.frames}
+    for kind, records in zip(_ANNOTATIONS, (annotations, causes)):
+        field = _ANNOTATIONS[kind][1]
+        for annotation in records:
+            if annotation.scene_id != scene.scene_id:
+                raise SchemaViolation(
+                    f"{kind} belongs to scene {shown(annotation.scene_id)}, not {scene.scene_id!r}"
+                )
+            record = {
+                "type": kind,
+                "frame": annotation.frame_index,
+                "actor": annotation.actor_id,
+                kind: getattr(annotation, field),
+            }
+            # load_trace's field checks, then its reference check
+            parsed = _parse_annotation(kind, record, scene.scene_id, None)
+            _check_references(kind, parsed, frames_at.get(parsed.frame_index))
+            out.append(json.dumps(record, separators=(",", ":")))
     return ("\n".join(out) + "\n").encode("utf-8")

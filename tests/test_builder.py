@@ -553,10 +553,19 @@ class TestSerialization:
                 lambda p: p["edges"][0]["relations"][0].update(frame=-(2**63) - 1),
                 f"edge ('a', 'b') frame {-(2**63) - 1} is outside signed 64 bits",
             ),
+            (
+                lambda p: p["edges"][0]["relations"][0]["ra"].append("Before"),
+                "ra and qtcb must each hold two labels, got [",
+            ),
+            (
+                lambda p: p["edges"][0]["relations"][1]["qtcb"].append("Away"),
+                "ra and qtcb must each hold two labels, got [",
+            ),
         ],
         ids=[
             "int-scene-id", "int-node-id", "null-class", "bands-string", "bands-empty",
             "bands-not-strings", "repeated-node", "frame-past-int64", "frame-before-int64",
+            "three-ra-labels", "three-qtcb-labels",
         ],
     )
     def test_import_refuses_what_the_accessors_cannot_read(self, damage, problem):

@@ -19,6 +19,7 @@ from qxg.calculi import (
     BBox2D,
     CalculiConfig,
     DEFAULT_CONFIG,
+    MAX_BANDS,
     Interval,
     Motion,
     Point2D,
@@ -308,6 +309,16 @@ def test_band_config_validation():
 def test_band_config_checks_its_field_types(fields):
     with pytest.raises(ValueError):
         CalculiConfig(**fields)
+
+
+def _bands(count):
+    return CalculiConfig(tuple(float(i) for i in range(1, count)), tuple(f"b{i}" for i in range(count)))
+
+
+def test_band_count_is_bounded():
+    assert len(_bands(MAX_BANDS).qdc_band_names) == MAX_BANDS
+    with pytest.raises(ValueError, match=f"^at most {MAX_BANDS} distance bands, got {MAX_BANDS + 1}$"):
+        _bands(MAX_BANDS + 1)
 
 
 # ---------------------------------------------------------------------------

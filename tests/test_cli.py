@@ -6,9 +6,11 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+from qxg import calculi
 from qxg.builder import build, import_graph
 from qxg.calculi import BBox2D, CalculiConfig, Interval
 from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
@@ -656,6 +658,27 @@ def test_tree_count_is_bounded(corpus, manifest, model_file, tmp_path, source):
     assert f"must be in 1..{MAX_TREES}, got {over}" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("source", ["config", "model"])
+def test_band_count_is_bounded(corpus, manifest, model_file, tmp_path, monkeypatch, capsys, source):
+    """More than MAX_BANDS distance bands in a config or model file is
+    exit 1.  The bound is patched to one under the default 5 bands, so that
+    no large band list is built."""
+    monkeypatch.setattr(calculi, "MAX_BANDS", 4)
+    if source == "model":
+        entry = _entry(manifest, "StoppingForCrosser")
+        argv = [
+            "explain", "--trace", str(corpus / entry["file"]), "--model", str(model_file),
+            "--frame", str(entry["frame"]), "--actor", entry["actor"], "--action", entry["action"],
+        ]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"calculi": asdict(calculi.DEFAULT_CONFIG)}))
+        argv = ["train", "--traces", str(corpus), "--config", str(config), "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "at most 4 distance bands, got 5" in err and out == ""
 
 
 def test_tree_count_at_the_bound_is_accepted():

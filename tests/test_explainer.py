@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -1022,4 +1023,12 @@ class TestPersistence:
         payload = json.loads(model_to_json(model))
         payload["encoding"]["feature_len"] = 17
         with pytest.raises(CorruptModel):
+            model_from_json(json.dumps(payload))
+
+    def test_slot_width_consistency_checked(self, mini_model):
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        payload["encoding"]["slot_width"] = 999
+        message = f"stored slot_width 999 does not match the stored encoding parameters ({model.spec.slot_width})"
+        with pytest.raises(CorruptModel, match=f"^{re.escape(message)}$"):
             model_from_json(json.dumps(payload))

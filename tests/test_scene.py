@@ -23,6 +23,7 @@ from qxg.scene import (
     OrderingViolation,
     Scene,
     SchemaViolation,
+    TraceError,
     load_trace,
     serialize_scene,
 )
@@ -171,6 +172,12 @@ class TestSchemaViolations:
     def test_unknown_record_type(self):
         with pytest.raises(SchemaViolation, match="unknown record type"):
             load_trace(_trace(HEADER, '{"type":"telemetry"}'))
+
+    @pytest.mark.parametrize("kind", [["action"], {"cause": 1}], ids=["list", "object"])
+    def test_unhashable_record_type_is_unknown(self, kind):
+        with pytest.raises(SchemaViolation) as refused:
+            load_trace(_trace(HEADER, json.dumps({"type": kind})))
+        assert str(refused.value) == f"line 2: unknown record type {kind!r}"
 
     @pytest.mark.parametrize(
         "mangle",
@@ -324,6 +331,84 @@ def test_round_trip_keeps_annotations(scene, data):
     assert got_causes == causes
 
 
+# serialize_scene refuses an annotation that load_trace would refuse, with
+# load_trace's type and message but no line number, so every trace it writes
+# reads back
+
+
+def _annotation_line(kind, record):
+    """The line the writer gives ``record``, written here without its checks."""
+    last = record.action if kind == "action" else record.cause_id
+    return json.dumps(
+        {"type": kind, "frame": record.frame_index, "actor": record.actor_id, kind: last},
+        separators=(",", ":"),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, record, error, message",
+    [
+        ("action", ActionAnnotation("s", 99, "ego", "Stopping"), DanglingAnnotation,
+         "action refers to missing frame 99"),
+        ("action", ActionAnnotation("s", "8", "ego", "Stopping"), SchemaViolation,
+         "field 'frame' must be int, got str"),
+        ("cause", CauseRecord("s", 8, "ghost", NO_CAUSE), DanglingAnnotation,
+         "actor 'ghost' is not present in frame 8"),
+        ("action", ActionAnnotation("other", 8, "ego", "Stopping"), SchemaViolation,
+         "action belongs to scene 'other', not 's'"),
+    ],
+    ids=["missing-frame", "str-frame-index", "absent-actor", "foreign-scene"],
+)
+def test_serialize_refuses_what_load_trace_refuses(kind, record, error, message):
+    scene = Scene("s", (_plain_frame(8, ids=("ego", "ped")),))
+    records = ([record], []) if kind == "action" else ([], [record])
+    with pytest.raises(error) as refused:
+        serialize_scene(scene, *records)
+    assert (str(refused.value), refused.value.line_no) == (message, None)
+    if record.scene_id == scene.scene_id:
+        written = serialize_scene(scene) + _annotation_line(kind, record).encode() + b"\n"
+        with pytest.raises(error) as loaded:
+            load_trace(written)
+        assert loaded.value.message == message
+
+
+_AWKWARD = [None, True, 2**64, "8", 3, "ghost", 99, "zz"]
+
+
+@given(scenes(), st.data())
+@settings(max_examples=80)
+def test_serialize_raises_or_writes_what_loads_back(scene, data):
+    ids = [s.object_id for fr in scene.frames for s in fr.objects] or ["ego"]
+
+    def field(*valid):
+        # one field in four is awkward, so that most draws still load
+        return data.draw(st.sampled_from(_AWKWARD if data.draw(st.integers(0, 3)) == 0 else valid))
+
+    def draw(make, *last):
+        return [
+            make(field(scene.scene_id), field(*[fr.index for fr in scene.frames]), field(*ids), field(*last))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+
+    annotations = draw(ActionAnnotation, "Stopping", *ids)
+    causes = draw(CauseRecord, NO_CAUSE, *ids)
+    written = serialize_scene(scene) + b"".join(
+        _annotation_line(kind, r).encode() + b"\n"
+        for kind, records in (("action", annotations), ("cause", causes))
+        for r in records
+    )
+    try:
+        blob = serialize_scene(scene, annotations, causes)
+    except TraceError as exc:
+        assert exc.line_no is None
+        if all(r.scene_id == scene.scene_id for r in annotations + causes):
+            with pytest.raises(TraceError):
+                load_trace(written)
+        return
+    assert blob == written
+    assert load_trace(blob) == (scene, annotations, causes)
+
+
 def test_serialization_is_deterministic():
     scene = Scene(
         "twice",
@@ -443,6 +528,16 @@ def test_non_string_id_or_class_refused(ids, cls, message):
 def test_containers_hold_value_types(make, message):
     with pytest.raises(SchemaViolation, match=f"^{message}$"):
         make()
+
+
+@pytest.mark.parametrize(
+    "bbox",
+    [None, "box", BBox2D(1, 2), BBox2D(Interval(0, 1), None)],
+    ids=["None", "str", "int-axes", "one-axis-None"],
+)
+def test_object_bbox_is_a_box_of_two_intervals(bbox):
+    with pytest.raises(SchemaViolation, match="^object 'ego' bbox must be a BBox2D of two Intervals, got "):
+        Frame(0, 0.0, (ObjectState("ego", "car", bbox),))
 
 
 @pytest.mark.parametrize("scene_id", [7, None, b"s"], ids=["int", "None", "bytes"])
