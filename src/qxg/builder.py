@@ -89,8 +89,7 @@ __all__ = [
 
 
 def pack_code(ax, ay, am, bm, band, sector, n_bands: int):
-    """Pack component indices into one relation code.  Plain integers and
-    numpy integer arrays both work."""
+    """Pack component indices into one relation code."""
     return ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
 
 
@@ -157,10 +156,8 @@ class EdgeHistory:
     def frames(self) -> list[int]:
         """Every relation's frame, rebuilt from the runs."""
         runs = self.runs
-        out: list[int] = []
-        for first, pos, end in zip(runs[::2], runs[1::2], runs[3::2] + [len(self.codes)]):
-            out.extend(range(first, first + end - pos))
-        return out
+        last = runs[-2] + len(self.codes) - 1 - runs[-1] if runs else 0
+        return list(self.tail(last, len(self))[0])
 
     def append(self, frame: int, code: int) -> None:
         """Add a relation after the last one; ``frame`` must be later than
@@ -415,10 +412,8 @@ class Builder:
                 else:
                     history = row.get(b_id)
                     if history is None:
-                        row[b_id] = EdgeHistory([code], [frame_index, 0])
-                    else:
-                        history.runs += (frame_index, len(history.codes))
-                        history.codes.append(code)
+                        history = row[b_id] = EdgeHistory()
+                    history.append(frame_index, code)
 
         for st in states:
             last_center[st[0]] = (st[5], st[6], frame_index)

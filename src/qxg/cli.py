@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
-from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, UnknownAction, replace_from_json
-from .scene import CauseRecord, TraceError, load_trace, serialize_scene
+from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, replace_from_json
+from .scene import CauseRecord, load_trace, serialize_scene
 
 # explainer, synthgen and bench load inside the handlers that call them.
 # synthgen and bench import numpy, and explainer imports it only in the
@@ -429,17 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TraceError as exc:
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except UnknownAction as exc:
-        print(f"error: {args.command}: unknown action {exc.args[0]!r}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"error: {args.command}: unknown key {detail!r}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every library refusal is a ValueError
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 

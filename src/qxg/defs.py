@@ -68,8 +68,12 @@ class Hyperparams:
             raise ValueError(f"n_trees must be in 1..{MAX_TREES}, got {self.n_trees}")
 
 
-class UnknownAction(KeyError):
-    """The model was never trained on this action label."""
+class UnknownAction(KeyError, ValueError):
+    """The model was never trained on this action label.  A ``ValueError``
+    like every other refusal, and a ``KeyError`` for callers that catch one."""
+
+    def __str__(self) -> str:
+        return f"unknown action {self.args[0]!r}"
 
 
 def replace_from_json(base, payload, where: str, *, require_all: bool = False):

@@ -35,9 +35,9 @@ from .builder import (
     relation_to_dict,
     unpack_code,
 )
-from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple
+from .calculi import DEFAULT_CONFIG, CalculiConfig, RelationTuple, shown
 from .defs import MAX_CHAIN_LENGTH, Hyperparams, UnknownAction, replace_from_json
-from .scene import NO_CAUSE, ActionAnnotation, Scene
+from .scene import _FLOAT_MAX, NO_CAUSE, ActionAnnotation, Scene
 
 if TYPE_CHECKING:
     import numpy as np
@@ -560,9 +560,14 @@ class Explanation:
 
 
 def _check_threshold(threshold: float | None) -> None:
-    # every comparison with NaN is false, so it would silently select nothing
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValueError(f"threshold must be a finite number, got {threshold}")
+    # every comparison with NaN is false, so it would silently select
+    # nothing; True would cut at 1.0, and an int past float range overflows
+    if threshold is not None and (
+        type(threshold) is bool
+        or not isinstance(threshold, (int, float))
+        or not abs(threshold) <= _FLOAT_MAX
+    ):
+        raise ValueError(f"threshold must be a finite number, got {shown(threshold)}")
 
 
 def _check_k(k: int | None) -> None:
@@ -799,6 +804,17 @@ def model_to_json(model: Model) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+# the keys model_to_json writes; a model file may hold no others
+_MODEL_KEYS = frozenset(("version", "seed", "t", "calculi", "encoding", "hyperparams", "actions"))
+_ENCODING_KEYS = frozenset(("slot_width", "feature_len"))
+
+
+def _refuse_unknown(payload: dict, known: frozenset, where: str) -> None:
+    unknown = payload.keys() - known
+    if unknown:
+        raise CorruptModel(f"unknown keys {sorted(unknown)} in {where}")
+
+
 def model_from_json(data: bytes | str) -> Model:
     try:
         payload = json.loads(data)
@@ -813,6 +829,7 @@ def model_from_json(data: bytes | str) -> Model:
     version = payload.get("version")
     if version != MODEL_VERSION:
         raise VersionMismatch(f"model version {version!r}, this build reads {MODEL_VERSION}")
+    _refuse_unknown(payload, _MODEL_KEYS, "the model file")
     try:
         cfg = replace_from_json(DEFAULT_CONFIG, payload["calculi"], "calculi", require_all=True)
         spec = EncodingSpec(payload["t"], cfg.qdc_band_names)
@@ -823,6 +840,7 @@ def model_from_json(data: bytes | str) -> Model:
                     f"stored {key} {payload['encoding'][key]} does not match "
                     f"the stored encoding parameters ({getattr(spec, key)})"
                 )
+        _refuse_unknown(payload["encoding"], _ENCODING_KEYS, '"encoding"')  # a dict by now
         if not isinstance(payload["actions"], dict):
             raise CorruptModel("\"actions\" must be a JSON object")
         forests = {

@@ -471,7 +471,8 @@ def serialize_scene(
     """Serialize back to JSON Lines. ``load_trace`` of the result is an
     exact inverse (floats survive via their shortest-repr decimal forms).
     An annotation that ``load_trace`` would refuse, or that belongs to
-    another scene, raises the same ``TraceError``, with no line number."""
+    another scene, raises the same ``TraceError``, with no line number; a
+    record of the wrong kind is a ``SchemaViolation``."""
     out = [
         json.dumps(
             {"type": "header", "scene_id": scene.scene_id, "version": TRACE_VERSION},
@@ -491,8 +492,12 @@ def serialize_scene(
         out.append(json.dumps(record, separators=(",", ":")))
     frames_at = {frame.index: frame for frame in scene.frames}
     for kind, records in zip(_ANNOTATIONS, (annotations, causes)):
-        field = _ANNOTATIONS[kind][1]
+        record_type, field = _ANNOTATIONS[kind]
         for annotation in records:
+            if type(annotation) is not record_type:
+                raise SchemaViolation(
+                    f"{kind} records must be {record_type.__name__}, got {shown(annotation)}"
+                )
             if annotation.scene_id != scene.scene_id:
                 raise SchemaViolation(
                     f"{kind} belongs to scene {shown(annotation.scene_id)}, not {scene.scene_id!r}"

@@ -48,13 +48,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from math import hypot, isfinite
+from math import hypot
 from typing import Iterable
 
 import numpy as np
 
 from .builder import build
-from .calculi import BBox2D, DEFAULT_CONFIG
+from .calculi import BBox2D, DEFAULT_CONFIG, shown
 from .defs import CLEAR_CRUISE, GAP_ACCELERATE, KINDS, LEAD_VEHICLE_BRAKING, STOPPING_FOR_CROSSER
 from .scene import _FLOAT_MAX, ActionAnnotation, Frame, NO_CAUSE, Scene, _Columns
 
@@ -114,12 +114,14 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; choose from {KINDS}")
-        if self.n_distractors < 0:
-            raise ValueError("n_distractors must be non-negative")
-        if not (isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
-            raise ValueError(
-                f"jitter_sigma must be a finite non-negative number, got {self.jitter_sigma}"
-            )
+        # type() tests, not isinstance: bool is an int, and this runs per scene
+        if type(self.n_distractors) is not int or self.n_distractors < 0:
+            raise ValueError(f"n_distractors must be an integer >= 0, got {shown(self.n_distractors)}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {shown(self.seed)}")
+        sigma = self.jitter_sigma
+        if not (type(sigma) in (int, float) and 0 <= sigma <= _FLOAT_MAX):  # also NaN
+            raise ValueError(f"jitter_sigma must be a finite non-negative number, got {shown(sigma)}")
         if self.cruise_twin not in (None, "l12", "l45"):
             raise ValueError(f"cruise_twin must be 'l12', 'l45' or None, got {self.cruise_twin!r}")
         if self.cruise_twin is not None and self.kind != CLEAR_CRUISE:

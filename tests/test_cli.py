@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
-from qxg import calculi
+from qxg import calculi, cli
 from qxg.builder import build, import_graph
 from qxg.calculi import BBox2D, CalculiConfig, Interval
 from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
@@ -679,6 +679,19 @@ def test_band_count_is_bounded(corpus, manifest, model_file, tmp_path, monkeypat
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert "at most 4 distance bands, got 5" in err and out == ""
+
+
+def test_a_key_error_from_a_handler_is_not_a_refusal(monkeypatch, capsys):
+    """A bare KeyError inside a handler is a fault of the program, not of
+    its input: main lets it out, not ``unknown key`` with exit 1."""
+
+    def broken(args):
+        raise KeyError("slot")
+
+    monkeypatch.setattr(cli, "cmd_build", broken)
+    with pytest.raises(KeyError, match="slot"):
+        main(["build", "--trace", "t.jsonl"])
+    assert capsys.readouterr().err == ""
 
 
 def test_tree_count_at_the_bound_is_accepted():

@@ -743,6 +743,14 @@ class TestExplain:
         with pytest.raises(ValueError, match="threshold must be a finite number"):
             explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", threshold=threshold)
 
+    @pytest.mark.parametrize("threshold", ["x", True, 10**400], ids=["str", "bool", "huge-int"])
+    def test_threshold_must_be_a_number(self, mini_model, threshold):
+        # True would cut at 1.0; an int past float range would overflow
+        model, _ = mini_model
+        scene, ann = _mini_scene(996, "Chase")
+        with pytest.raises(ValueError, match=r"^threshold must be a finite number, got "):
+            explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", threshold=threshold)
+
     @pytest.mark.parametrize("k", [0, -1, 2.5, True, False, "2"])
     def test_k_must_be_a_positive_integer(self, mini_model, k):
         # a negative k would drop the last candidates, and True would act as 1
@@ -756,6 +764,11 @@ class TestExplain:
         scene, _ = _mini_scene(996, "Idle")
         with pytest.raises(UnknownAction):
             explain(model, build(scene), "ego", 5, "Swerving")
+
+    def test_unknown_action_is_a_value_error_and_a_key_error(self):
+        error = UnknownAction("x")
+        assert isinstance(error, KeyError) and isinstance(error, ValueError)
+        assert str(error) == "unknown action 'x'"
 
     def test_dict_form_is_json_ready(self, mini_model):
         model, _ = mini_model
@@ -801,6 +814,13 @@ class TestEvaluate:
         model, _ = mini_model
         test_set = build_dataset([_mini_scene(201, "Chase")], t=4)
         with pytest.raises(ValueError, match="threshold must be a finite number"):
+            evaluate(model, test_set, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", ["x", True, 10**400], ids=["str", "bool", "huge-int"])
+    def test_threshold_must_be_a_number(self, mini_model, threshold):
+        model, _ = mini_model
+        test_set = build_dataset([_mini_scene(201, "Chase")], t=4)
+        with pytest.raises(ValueError, match=r"^threshold must be a finite number, got "):
             evaluate(model, test_set, threshold=threshold)
 
     def test_cause_recovery_matches_explain(self):
@@ -1030,5 +1050,16 @@ class TestPersistence:
         payload = json.loads(model_to_json(model))
         payload["encoding"]["slot_width"] = 999
         message = f"stored slot_width 999 does not match the stored encoding parameters ({model.spec.slot_width})"
+        with pytest.raises(CorruptModel, match=f"^{re.escape(message)}$"):
+            model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("section", [None, "encoding"], ids=["top-level", "encoding"])
+    def test_unknown_keys_refused(self, mini_model, section):
+        # re-saving would drop them, so loading must not keep them silently
+        model, _ = mini_model
+        payload = json.loads(model_to_json(model))
+        (payload[section] if section else payload).update(junk=1, extra=2)
+        where = '"encoding"' if section else "the model file"
+        message = f"unknown keys ['extra', 'junk'] in {where}"
         with pytest.raises(CorruptModel, match=f"^{re.escape(message)}$"):
             model_from_json(json.dumps(payload))

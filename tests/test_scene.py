@@ -372,6 +372,17 @@ def test_serialize_refuses_what_load_trace_refuses(kind, record, error, message)
         assert loaded.value.message == message
 
 
+@pytest.mark.parametrize("kind", ["action", "cause"])
+def test_serialize_refuses_a_record_of_the_other_kind(kind):
+    scene = Scene("s", (_plain_frame(8, ids=("ego", "ped")),))
+    if kind == "action":
+        records, expected = ([CauseRecord("s", 8, "ego", "ped")], []), "ActionAnnotation"
+    else:
+        records, expected = ([], [ActionAnnotation("s", 8, "ego", "Stopping")]), "CauseRecord"
+    with pytest.raises(SchemaViolation, match=rf"^{kind} records must be {expected}, got "):
+        serialize_scene(scene, *records)
+
+
 _AWKWARD = [None, True, 2**64, "8", 3, "ghost", 99, "zz"]
 
 

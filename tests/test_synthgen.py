@@ -226,6 +226,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_distractors", 2.5),
+            ("n_distractors", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", -1),
+            ("jitter_sigma", "a"),
+            ("jitter_sigma", True),
+            pytest.param("jitter_sigma", 10**400, id="jitter_sigma-huge-int"),
+        ],
+    )
+    def test_unusable_values_are_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a"):
+            ScenarioSpec(CLEAR_CRUISE, **{field: value})
+
+    def test_int_jitter_is_accepted(self):
+        assert ScenarioSpec(CLEAR_CRUISE, jitter_sigma=0).jitter_sigma == 0
+
 
 class TestCorpusPlumbing:
     def test_round_robin_counts(self):
