@@ -508,8 +508,8 @@ def graph_from_dict(payload: dict) -> QXG:
     """Rebuild a graph, checking what the accessors rely on: ids, classes
     and band names are strings, the bands a non-empty list without repeats,
     every node is listed once, every edge joins two known nodes stored as
-    (smaller id, larger id), appears once, and lists its frames as strictly
-    increasing signed 64-bit integers."""
+    (smaller id, larger id), appears once, and lists at least one frame, as
+    strictly increasing signed 64-bit integers."""
     try:
         scene_id, band_names = payload["scene_id"], payload["qdc_bands"]
         if type(scene_id) is not str:
@@ -561,6 +561,8 @@ def graph_from_dict(payload: dict) -> QXG:
                 last = frame
                 code = relation_code(rel, band_index)
                 history.append(frame, intern(code, code))
+            if last is None:  # the builder never stores a pair it has not seen
+                raise _not_a_graph(f"edge {key} has no relations")
             pairs[a][b] = history
     except (KeyError, IndexError, TypeError) as exc:
         raise _not_a_graph(repr(exc)) from None

@@ -29,12 +29,12 @@ from typing import Sequence
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
 from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, replace_from_json
-from .scene import CauseRecord, load_trace, serialize_scene
+from .scene import CauseRecord, load_trace, serialize_scene, split_scenes
 
 # explainer, synthgen and bench load inside the handlers that call them.
-# synthgen and bench import numpy, and explainer imports it only in the
-# functions that train or score matrices, so ``qxg build`` and ``qxg explain``
-# start without numpy.
+# synthgen and bench import numpy, and explainer imports it only inside
+# ``train`` and the dense ``score``, so ``qxg build``, ``qxg explain`` and
+# ``qxg eval`` start without numpy.
 
 
 # -- config file --------------------------------------------------------------
@@ -243,8 +243,6 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     items, causes = _annotated_items(args.traces)
     if args.split != "all":
-        from .synthgen import split_scenes
-
         train_items, test_items = split_scenes(items, args.train_fraction)
         items = train_items if args.split == "train" else test_items
     keys = ((scene.scene_id, a.actor_id, a.frame_index) for scene, a in items)

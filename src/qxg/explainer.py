@@ -42,8 +42,9 @@ from .scene import _FLOAT_MAX, NO_CAUSE, ActionAnnotation, Scene
 if TYPE_CHECKING:
     import numpy as np
 
-# Explaining runs on plain tuples; numpy loads inside the functions that
-# train, densify or score whole matrices, so ``qxg explain`` starts without it.
+# Feature rows are tuples of hot bits from extraction to scoring; numpy loads
+# only inside ``train`` and the dense ``score``, so ``qxg explain`` and
+# ``qxg eval`` start without it.
 
 __all__ = [
     "EncodingSpec",
@@ -261,7 +262,7 @@ class RowKey:
 
 @dataclass
 class Dataset:
-    X: np.ndarray
+    rows: list[tuple[int, ...]]  # each row's hot bits, ascending
     labels: list[str]
     keys: list[RowKey]
     spec: EncodingSpec
@@ -277,7 +278,7 @@ def build_dataset(
     t: int = 5,
     cfg: CalculiConfig = DEFAULT_CONFIG,
 ) -> Dataset:
-    """Turn annotated scenes into a labelled pair-vector matrix.
+    """Turn annotated scenes into labelled rows of hot feature bits.
 
     Every pair chain extracted at an annotation frame becomes one row
     labelled with that annotation's action.  Annotations with no extractable
@@ -300,7 +301,7 @@ def build_dataset(
             rows.append(sample.bits)
             labels.append(annotation.action)
             keys.append(RowKey(scene.scene_id, sample.actor, sample.other, sample.frame))
-    return Dataset(spec.densify(rows), labels, keys, spec, cfg, warnings)
+    return Dataset(rows, labels, keys, spec, cfg, warnings)
 
 
 # -- forests ------------------------------------------------------------------
@@ -457,7 +458,7 @@ def train(
     actions = sorted(set(dataset.labels))
 
     y_all = np.asarray(dataset.labels)
-    hi = dataset.X > 0.5
+    hi = dataset.spec.densify(dataset.rows) > 0.5
     forests: dict[str, list[Tree]] = {}
     action_seeds = np.random.SeedSequence(seed).spawn(len(actions))
     for action, action_seed in zip(actions, action_seeds):
@@ -491,12 +492,6 @@ def train(
     return Model(seed, dataset.spec, dataset.cfg, hyperparams, forests)
 
 
-def _hot(vector: np.ndarray) -> frozenset[int]:
-    import numpy as np
-
-    return frozenset(np.flatnonzero(vector > 0.5).tolist())
-
-
 def score(model: Model, action: str, vector: np.ndarray) -> float:
     """Mean positive leaf fraction across the action's trees."""
     import numpy as np
@@ -509,21 +504,22 @@ def score(model: Model, action: str, vector: np.ndarray) -> float:
             f"model expects vectors of length {model.spec.feature_len}, "
             f"got shape {vector.shape}"
         )
-    return _walk_forest(model.forests[action], _hot(vector))[0]
+    hot = frozenset(np.flatnonzero(vector > 0.5).tolist())
+    return _walk_forest(model.forests[action], hot)[0]
 
 
-def predict_scores(model: Model, X: np.ndarray) -> dict[str, np.ndarray]:
-    """Score every row of a matrix against every action's forest."""
-    import numpy as np
-
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.spec.feature_len:
-        raise LengthMismatch(
-            f"model expects (n, {model.spec.feature_len}) matrices, got shape {X.shape}"
-        )
-    rows = [_hot(row) for row in X]
+def predict_scores(model: Model, rows: Iterable[Sequence[int]]) -> dict[str, list[float]]:
+    """Score every row, given as its hot feature bits, against every
+    action's forest."""
+    width = model.spec.feature_len
+    hots = []
+    for bits in rows:
+        for bit in bits:
+            if type(bit) is not int or not 0 <= bit < width:  # bool is refused too
+                raise LengthMismatch(f"model expects feature bits in 0..{width - 1}, got {bit!r}")
+        hots.append(frozenset(bits))
     return {
-        action: np.array([_walk_forest(model.forests[action], hot)[0] for hot in rows])
+        action: [_walk_forest(model.forests[action], hot)[0] for hot in hots]
         for action in model.actions
     }
 
@@ -598,6 +594,11 @@ def explain(
         raise UnknownAction(action)
     _check_threshold(threshold)
     _check_k(k)
+    # True would answer for frame 1, and a non-string actor matches no node
+    if type(at_frame) is not int:
+        raise ValueError(f"frame must be an integer, got {shown(at_frame)}")
+    if type(actor) is not str:
+        raise ValueError(f"actor must be a string, got {shown(actor)}")
     trees = model.forests[action]
     samples = extract_features(graph, actor, at_frame, model.spec)
     walked = [_walk_forest(trees, frozenset(s.bits)) for s in samples]
@@ -688,8 +689,6 @@ def evaluate(
 
     ``causes`` maps ``(scene id, actor, frame)`` of an annotation to its
     recorded cause; given it, the report also counts top-1 cause recovery."""
-    import numpy as np
-
     _check_threshold(threshold)
     if len(dataset) == 0:
         raise EmptyTestSet("cannot evaluate on an empty dataset")
@@ -697,18 +696,19 @@ def evaluate(
         raise LengthMismatch(
             f"dataset encoded with {dataset.spec}, model trained with {model.spec}"
         )
-    scores = predict_scores(model, dataset.X)
-    y = np.asarray(dataset.labels)
+    scores = predict_scores(model, dataset.rows)
     per_action = {}
     for action in model.actions:
-        predicted = scores[action] >= threshold
-        actual = y == action
-        tp = int(np.sum(predicted & actual))
-        fp = int(np.sum(predicted & ~actual))
-        fn = int(np.sum(~predicted & actual))
+        tp = fp = fn = 0
+        for s, label in zip(scores[action], dataset.labels):
+            if s >= threshold:
+                tp += label == action
+                fp += label != action
+            else:
+                fn += label == action
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        per_action[action] = ActionMetrics(precision, recall, tp, fp, fn, int(actual.sum()))
+        per_action[action] = ActionMetrics(precision, recall, tp, fp, fn, tp + fn)
     macro_p = sum(m.precision for m in per_action.values()) / len(per_action)
     macro_r = sum(m.recall for m in per_action.values()) / len(per_action)
     recovery = None if causes is None else _cause_recovery(dataset, scores, causes)

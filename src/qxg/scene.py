@@ -54,6 +54,7 @@ __all__ = [
     "DanglingAnnotation",
     "load_trace",
     "serialize_scene",
+    "split_scenes",
 ]
 
 NO_CAUSE = "none"
@@ -513,3 +514,19 @@ def serialize_scene(
             _check_references(kind, parsed, frames_at.get(parsed.frame_index))
             out.append(json.dumps(record, separators=(",", ":")))
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def split_scenes(items: Iterable, train_fraction: float = 0.7):
+    """Stable hash split of ``(scene, ...)`` items by scene id: membership
+    depends only on the id, so regenerating or reordering a corpus never
+    moves a scene across the boundary."""
+    import hashlib  # about 4 ms of OpenSSL start-up that only ``eval --split`` needs
+
+    if not 0.0 <= train_fraction <= 1.0:
+        raise ValueError(f"train_fraction must be within [0, 1], got {train_fraction}")
+    train, test = [], []
+    for item in items:
+        digest = hashlib.sha256(item[0].scene_id.encode("utf-8")).digest()
+        share = int.from_bytes(digest[:8], "big") / 2**64
+        (train if share < train_fraction else test).append(item)
+    return train, test

@@ -45,18 +45,16 @@ Frames are assembled as the id, class and box-row columns that
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from math import hypot
-from typing import Iterable
 
 import numpy as np
 
 from .builder import build
 from .calculi import BBox2D, DEFAULT_CONFIG, shown
 from .defs import CLEAR_CRUISE, GAP_ACCELERATE, KINDS, LEAD_VEHICLE_BRAKING, STOPPING_FOR_CROSSER
-from .scene import _FLOAT_MAX, ActionAnnotation, Frame, NO_CAUSE, Scene, _Columns
+from .scene import _FLOAT_MAX, ActionAnnotation, Frame, NO_CAUSE, Scene, _Columns, split_scenes
 
 __all__ = [
     "STOPPING_FOR_CROSSER",
@@ -96,6 +94,13 @@ _CAR_EW = (2.25, 1.0)
 _HALF_BY_CLASS = {"car": _CAR_NS, "pedestrian": (0.3, 0.3), "cyclist": (0.4, 0.9)}
 
 
+def _check_count(name: str, value) -> None:
+    # type(), not isinstance: True would count as 1; a negative scene count
+    # would reach numpy as a shape
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything that determines one generated scene.
@@ -114,11 +119,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; choose from {KINDS}")
-        # type() tests, not isinstance: bool is an int, and this runs per scene
-        if type(self.n_distractors) is not int or self.n_distractors < 0:
-            raise ValueError(f"n_distractors must be an integer >= 0, got {shown(self.n_distractors)}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {shown(self.seed)}")
+        _check_count("n_distractors", self.n_distractors)
+        _check_count("seed", self.seed)
         sigma = self.jitter_sigma
         if not (type(sigma) in (int, float) and 0 <= sigma <= _FLOAT_MAX):  # also NaN
             raise ValueError(f"jitter_sigma must be a finite non-negative number, got {shown(sigma)}")
@@ -466,6 +468,8 @@ def generate_scenes(
     """``n_scenes`` scenes with seeds derived from one master seed: all of
     ``kind`` when given, else the kinds interleaved round-robin.  The
     mixed list is a prefix of :func:`generate_dataset`'s for that seed."""
+    _check_count("n_scenes", n_scenes)
+    _check_count("master_seed", master_seed)
     seeds = np.random.SeedSequence(master_seed).generate_state(n_scenes, dtype=np.uint64)
     base = base_spec if base_spec is not None else ScenarioSpec(CLEAR_CRUISE)
     return _round_robin(n_scenes, base, seeds, kind)
@@ -476,6 +480,7 @@ def generate_dataset(
 ) -> list[tuple[Scene, ActionAnnotation, GroundTruth]]:
     """A mixed list of scenes, kinds interleaved round-robin, with all scene
     seeds derived from one master seed."""
+    _check_count("n_per_kind", n_per_kind)
     return generate_scenes(4 * n_per_kind, master_seed=master_seed)
 
 
@@ -483,24 +488,12 @@ def generate_corpus(n_train_per_kind: int, n_test_per_kind: int, master_seed: in
     """Disjoint train and test scene lists with exact per-kind counts.  The
     two halves draw from independent seed streams spawned off the master
     seed, so they never share a scene."""
+    _check_count("n_train_per_kind", n_train_per_kind)
+    _check_count("n_test_per_kind", n_test_per_kind)
+    _check_count("master_seed", master_seed)
     train_ss, test_ss = np.random.SeedSequence(master_seed).spawn(2)
     base = ScenarioSpec(CLEAR_CRUISE)
     n_train, n_test = 4 * n_train_per_kind, 4 * n_test_per_kind
     train = _round_robin(n_train, base, train_ss.generate_state(n_train, dtype=np.uint64))
     test = _round_robin(n_test, base, test_ss.generate_state(n_test, dtype=np.uint64))
-    return train, test
-
-
-def split_scenes(items: Iterable, train_fraction: float = 0.7):
-    """Stable hash split of ``(scene, ...)`` items by scene id: membership
-    depends only on the id, so
-    regenerating or reordering a corpus never moves a scene across the
-    boundary."""
-    if not 0.0 <= train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be within [0, 1], got {train_fraction}")
-    train, test = [], []
-    for item in items:
-        digest = hashlib.sha256(item[0].scene_id.encode("utf-8")).digest()
-        share = int.from_bytes(digest[:8], "big") / 2**64
-        (train if share < train_fraction else test).append(item)
     return train, test

@@ -561,11 +561,13 @@ class TestSerialization:
                 lambda p: p["edges"][0]["relations"][1]["qtcb"].append("Away"),
                 "ra and qtcb must each hold two labels, got [",
             ),
+            # the dot export reads each edge's last relation
+            (lambda p: p["edges"][0].update(relations=[]), "edge ('a', 'b') has no relations"),
         ],
         ids=[
             "int-scene-id", "int-node-id", "null-class", "bands-string", "bands-empty",
             "bands-not-strings", "repeated-node", "frame-past-int64", "frame-before-int64",
-            "three-ra-labels", "three-qtcb-labels",
+            "three-ra-labels", "three-qtcb-labels", "no-relations",
         ],
     )
     def test_import_refuses_what_the_accessors_cannot_read(self, damage, problem):

@@ -71,6 +71,11 @@ def _encode(spec, chain, at_frame):
     return spec.densify([spec.hot_bits(codes, at_frame)])[0]
 
 
+def _bits(X):
+    """Each row of a dense matrix as its hot bits."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in X]
+
+
 def _names(spec, vector):
     """``describe_feature`` of every set bit, in index order."""
     return [spec.describe_feature(i) for i in np.flatnonzero(vector)]
@@ -371,8 +376,9 @@ class TestBuildDataset:
     def test_shapes_and_labels(self):
         dataset = build_dataset(_mini_corpus(4), t=4)
         spec = EncodingSpec(4, DEFAULT_CONFIG.qdc_band_names)
-        # 8 scenes x 2 pairs for the ego
-        assert dataset.X.shape == (16, spec.feature_len)
+        # 8 scenes x 2 pairs for the ego, each row its ascending hot bits
+        assert spec.densify(dataset.rows).shape == (16, spec.feature_len)
+        assert all(list(row) == sorted(set(row)) for row in dataset.rows)
         assert sorted(set(dataset.labels)) == ["Chase", "Idle"]
         assert len(dataset.keys) == 16
         assert dataset.warnings == []
@@ -388,18 +394,19 @@ class TestBuildDataset:
 
     def test_empty_input(self):
         dataset = build_dataset([])
-        assert dataset.X.shape == (0, SPEC.feature_len)
+        assert dataset.rows == []
+        assert SPEC.densify(dataset.rows).shape == (0, SPEC.feature_len)
 
 
 class TestTraining:
     def test_separates_the_mini_corpus(self, mini_model):
         model, dataset = mini_model
         assert model.actions == ["Chase", "Idle"]
-        scores = predict_scores(model, dataset.X)
+        chase = np.asarray(predict_scores(model, dataset.rows)["Chase"])
         labels = np.asarray(dataset.labels)
         movers = np.asarray([k.other == "mover" for k in dataset.keys])
-        assert scores["Chase"][(labels == "Chase") & movers].min() > 0.8
-        assert scores["Chase"][(labels == "Idle") & movers].max() < 0.2
+        assert chase[(labels == "Chase") & movers].min() > 0.8
+        assert chase[(labels == "Idle") & movers].max() < 0.2
 
     def test_training_is_deterministic(self):
         dataset = build_dataset(_mini_corpus(6), t=4)
@@ -416,8 +423,8 @@ class TestTraining:
     def test_single_score_matches_batch(self, mini_model):
         model, dataset = mini_model
         rng = np.random.default_rng(11)
-        X = np.vstack([dataset.X, rng.random((2000, model.spec.feature_len)) < 0.15])
-        batch = predict_scores(model, X)
+        X = np.vstack([dataset.spec.densify(dataset.rows), rng.random((2000, model.spec.feature_len)) < 0.15])
+        batch = predict_scores(model, _bits(X))
         for action in model.actions:
             for i, row in enumerate(X):
                 assert score(model, action, row) == batch[action][i]
@@ -454,7 +461,7 @@ class TestTraining:
         model, _ = mini_model
         rng = np.random.default_rng(7)
         X = (rng.random((2000, model.spec.feature_len)) < 0.15).astype(np.float64)
-        got = predict_scores(model, X)
+        got = predict_scores(model, _bits(X))
         pairwise_differs = 0
         for action in model.actions:
             trees = model.forests[action]
@@ -483,7 +490,7 @@ class TestTraining:
         with pytest.warns(RuntimeWarning, match="no negative examples"):
             model = train(dataset, seed=3, hyperparams=Hyperparams(n_trees=8, max_depth=4))
         assert model.actions == ["Idle"]
-        assert all(s == 1.0 for s in predict_scores(model, dataset.X)["Idle"])
+        assert all(s == 1.0 for s in predict_scores(model, dataset.rows)["Idle"])
 
     def test_hyperparam_validation(self):
         for fields in (
@@ -500,11 +507,19 @@ class TestTraining:
     def test_score_error_paths(self, mini_model):
         model, dataset = mini_model
         with pytest.raises(UnknownAction):
-            score(model, "Swerving", dataset.X[0])
+            score(model, "Swerving", dataset.spec.densify(dataset.rows[:1])[0])
         with pytest.raises(LengthMismatch):
             score(model, "Chase", np.zeros(7))
         with pytest.raises(LengthMismatch):
             predict_scores(model, np.zeros((2, 7)))
+        with pytest.raises(LengthMismatch):
+            predict_scores(model, [(model.spec.feature_len,)])
+
+    @pytest.mark.parametrize("bit", [-1, 2**70, True, 1.0, "1", None, np.int64(3)])
+    def test_predict_scores_refuses_bits_outside_the_encoding(self, mini_model, bit):
+        model, dataset = mini_model
+        with pytest.raises(LengthMismatch, match="feature bits"):
+            predict_scores(model, [dataset.rows[0], (0, bit)])
 
 
 class TestTreeFitting:
@@ -606,32 +621,21 @@ def synth_dataset():
     return build_dataset([(s, a) for s, a, _ in train_items])
 
 
-def _with_matrix(dataset, X):
-    return Dataset(X, dataset.labels, dataset.keys, dataset.spec, dataset.cfg)
-
-
 def _repeated_columns(dataset):
     """Each block of eight features repeats the block's first column, so
     most nodes draw tied candidates and the lowest index must win."""
-    X = dataset.X.copy()
+    X = dataset.spec.densify(dataset.rows)
     for j in range(X.shape[1]):
-        X[:, j] = dataset.X[:, j - j % 8]
-    return _with_matrix(dataset, X)
-
-
-def _non_binary(dataset):
-    """Values on both sides of 0.5, and 0.5 itself, which is not set."""
-    rng = np.random.default_rng(9)
-    X = dataset.X * rng.choice([0.51, 1.0, 2.0], size=dataset.X.shape)
-    X += (X == 0) * rng.choice([0.0, 0.3, 0.5], size=X.shape)
-    return _with_matrix(dataset, X)
+        X[:, j] = X[:, j - j % 8]
+    return Dataset(_bits(X), dataset.labels, dataset.keys, dataset.spec, dataset.cfg)
 
 
 def _train_both(dataset, hp, monkeypatch):
     """``train`` as it is, then with the reference loop as ``_fit_tree``."""
     model = train(dataset, seed=13, hyperparams=hp)
+    X = dataset.spec.densify(dataset.rows)
     monkeypatch.setattr(
-        explainer, "_fit_tree", lambda hi, y, rows, hp, rng: _reference_fit_tree(dataset.X, y, rows, hp, rng)
+        explainer, "_fit_tree", lambda hi, y, rows, hp, rng: _reference_fit_tree(X, y, rows, hp, rng)
     )
     return model, train(dataset, seed=13, hyperparams=hp)
 
@@ -647,9 +651,8 @@ class TestSplitSearchMatchesReference:
             (Hyperparams(min_samples_leaf=1, max_depth=25), None),
             (Hyperparams(balance=False, n_trees=30), None),
             (Hyperparams(n_trees=40, min_samples_leaf=1), _repeated_columns),
-            (Hyperparams(n_trees=40), _non_binary),
         ],
-        ids=["defaults", "deep-leaf-1", "unbalanced", "repeated-columns", "non-binary"],
+        ids=["defaults", "deep-leaf-1", "unbalanced", "repeated-columns"],
     )
     def test_equal_trees(self, synth_dataset, hp, variant, monkeypatch):
         dataset = variant(synth_dataset) if variant else synth_dataset
@@ -661,7 +664,7 @@ class TestSplitSearchMatchesReference:
 
     def test_single_action_corpus(self, synth_dataset, monkeypatch):
         d = synth_dataset
-        dataset = Dataset(d.X, ["Cruising"] * len(d), d.keys, d.spec, d.cfg)
+        dataset = Dataset(d.rows, ["Cruising"] * len(d), d.keys, d.spec, d.cfg)
         with pytest.warns(RuntimeWarning, match="no negative examples"):
             model, reference = _train_both(dataset, Hyperparams(n_trees=8), monkeypatch)
         assert model.forests == reference.forests
@@ -758,6 +761,22 @@ class TestExplain:
         scene, ann = _mini_scene(996, "Chase")
         with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got "):
             explain(model, build(scene), ann.actor_id, ann.frame_index, "Chase", k=k)
+
+    @pytest.mark.parametrize("frame", [True, 5.0, "5", None, math.inf])
+    def test_frame_must_be_an_integer(self, mini_model, frame):
+        # True would answer for frame 1 and write "frame": true
+        model, _ = mini_model
+        scene, ann = _mini_scene(996, "Chase")
+        with pytest.raises(ValueError, match=r"^frame must be an integer, got "):
+            explain(model, build(scene), ann.actor_id, frame, "Chase")
+
+    @pytest.mark.parametrize("actor", [None, 1, b"ego"])
+    def test_actor_must_be_a_string(self, mini_model, actor):
+        # None would match no node and return an empty explanation
+        model, _ = mini_model
+        scene, ann = _mini_scene(996, "Chase")
+        with pytest.raises(ValueError, match=r"^actor must be a string, got "):
+            explain(model, build(scene), actor, ann.frame_index, "Chase")
 
     def test_unknown_action(self, mini_model):
         model, _ = mini_model
@@ -868,9 +887,9 @@ class TestPersistence:
         model, _ = mini_model
         restored = model_from_json(model_to_json(model))
         rng = np.random.default_rng(123)
-        X = rng.integers(0, 2, size=(50, model.spec.feature_len)).astype(float)
-        before = predict_scores(model, X)
-        after = predict_scores(restored, X)
+        rows = _bits(rng.integers(0, 2, size=(50, model.spec.feature_len)))
+        before = predict_scores(model, rows)
+        after = predict_scores(restored, rows)
         for action in model.actions:
             assert np.array_equal(before[action], after[action])
 

@@ -1,7 +1,7 @@
 """Each entry point loads only the modules it uses: ``import qxg``,
-``import qxg.explainer``, ``qxg build`` and ``qxg explain`` run without
-numpy, and ``qxg explain`` without the scene generator or the bench.  Every
-check runs in a fresh interpreter."""
+``import qxg.explainer``, ``qxg build``, ``qxg explain`` and ``qxg eval``
+run without numpy, and ``qxg explain`` and ``qxg eval`` without the scene
+generator or the bench.  Every check runs in a fresh interpreter."""
 
 import importlib
 import subprocess
@@ -23,21 +23,23 @@ def _loaded_after(code: str) -> set[str]:
     probe = f"{code}\nimport sys\nprint(','.join(m for m in {HEAVY!r} if m in sys.modules))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    return set(filter(None, result.stdout.strip().split(",")))
+    return set(filter(None, result.stdout.splitlines()[-1].split(",")))  # after what code prints
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("imports")
-    items = generate_dataset(1, master_seed=3)
-    scene, annotation, truth = items[0]
-    trace = root / "scene.jsonl"
-    cause = CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)
-    trace.write_bytes(serialize_scene(scene, [annotation], [cause]))
+    traces = root / "traces"
+    traces.mkdir()
+    items = generate_dataset(1, master_seed=3)  # two scenes on each side of the 0.7 split
+    for scene, annotation, truth in items:
+        cause = CauseRecord(scene.scene_id, annotation.frame_index, annotation.actor_id, truth.cause_id)
+        (traces / f"{scene.scene_id}.jsonl").write_bytes(serialize_scene(scene, [annotation], [cause]))
+    scene, annotation, _ = items[0]
     model = root / "model.json"
     dataset = build_dataset([(s, a) for s, a, _ in items])
     save_model(train(dataset, seed=1, hyperparams=Hyperparams(n_trees=2, max_depth=3)), model)
-    return trace, model, annotation
+    return traces / f"{scene.scene_id}.jsonl", model, annotation
 
 
 def test_package_import_loads_no_numpy():
@@ -64,6 +66,13 @@ def test_explain_loads_neither_generator_nor_bench(files, tmp_path):
     assert loaded == {"qxg.explainer"}
 
 
+@pytest.mark.parametrize("split", ["all", "train", "test"])
+def test_eval_runs_without_numpy(files, split):
+    trace, model, _ = files
+    argv = ["eval", "--traces", str(trace.parent), "--model", str(model), "--split", split]
+    assert _loaded_after(f"import qxg.cli\nassert qxg.cli.main({argv!r}) == 0") == {"qxg.explainer"}
+
+
 def test_exports_are_the_submodule_objects():
     homes = {
         "builder": ["Builder", "build", "export_graph", "import_graph"],
@@ -86,8 +95,9 @@ def test_exports_are_the_submodule_objects():
 
 
 def test_moved_names_are_shared():
-    from qxg import defs, explainer, synthgen
+    from qxg import defs, explainer, scene, synthgen
 
     assert explainer.Hyperparams is defs.Hyperparams
     assert explainer.UnknownAction is defs.UnknownAction
     assert synthgen.KINDS is defs.KINDS
+    assert synthgen.split_scenes is scene.split_scenes

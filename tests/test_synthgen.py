@@ -24,6 +24,7 @@ from qxg.synthgen import (
     generate_corpus,
     generate_dataset,
     generate_scene,
+    generate_scenes,
     split_scenes,
 )
 
@@ -242,6 +243,32 @@ class TestSpecValidation:
     def test_unusable_values_are_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be a"):
             ScenarioSpec(CLEAR_CRUISE, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, -1, "a", None])
+    @pytest.mark.parametrize(
+        "generate, name",
+        [
+            (lambda v: generate_scenes(v), "n_scenes"),
+            (lambda v: generate_scenes(1, master_seed=v), "master_seed"),
+            (lambda v: generate_dataset(v), "n_per_kind"),
+            (lambda v: generate_dataset(1, master_seed=v), "master_seed"),
+            (lambda v: generate_corpus(v, 0), "n_train_per_kind"),
+            (lambda v: generate_corpus(0, v), "n_test_per_kind"),
+            (lambda v: generate_corpus(0, 0, master_seed=v), "master_seed"),
+        ],
+        ids=[
+            "scenes-count", "scenes-seed", "dataset-count", "dataset-seed",
+            "corpus-train", "corpus-test", "corpus-seed",
+        ],
+    )
+    def test_generators_refuse_unusable_counts_and_seeds(self, generate, name, value):
+        # True would count as 1, and -1 reached numpy as a negative shape
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 0, got "):
+            generate(value)
+
+    def test_zero_scenes_is_empty(self):
+        assert generate_scenes(0, master_seed=0) == []
+        assert generate_corpus(0, 0) == ([], [])
 
     def test_int_jitter_is_accepted(self):
         assert ScenarioSpec(CLEAR_CRUISE, jitter_sigma=0).jitter_sigma == 0
