@@ -156,8 +156,11 @@ class EdgeHistory:
     def frames(self) -> list[int]:
         """Every relation's frame, rebuilt from the runs."""
         runs = self.runs
-        last = runs[-2] + len(self.codes) - 1 - runs[-1] if runs else 0
-        return list(self.tail(last, len(self))[0])
+        frames: list[int] = []
+        # each run's first frame, its first position, and the next run's
+        for first, pos, end in zip(runs[::2], runs[1::2], [*runs[3::2], len(self.codes)]):
+            frames += range(first, first + end - pos)
+        return frames
 
     def append(self, frame: int, code: int) -> None:
         """Add a relation after the last one; ``frame`` must be later than

@@ -24,12 +24,12 @@ import tempfile
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .builder import Builder, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
 from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, replace_from_json
-from .scene import CauseRecord, load_trace, serialize_scene, split_scenes
+from .scene import CauseRecord, TraceError, load_trace, serialize_scene, split_rule
 
 # explainer, synthgen and bench load inside the handlers that call them.
 # synthgen and bench import numpy, and explainer imports it only inside
@@ -108,15 +108,35 @@ def _trace_files(directory: str | Path) -> list[Path]:
     return files
 
 
-def _annotated_items(directory: str | Path):
-    """Every ``(scene, annotation)`` under ``directory``, and the recorded
-    causes as ``{(scene id, actor, frame): cause id}``."""
-    items, causes = [], {}
+def _read_rows(directory: str | Path, t: int, cfg: CalculiConfig, keep=lambda scene_id: True):
+    """``build_dataset`` over every annotated scene under ``directory`` whose
+    id ``keep`` accepts, and those annotations' recorded causes as
+    ``{(scene id, actor, frame): cause id}``.  Files are read one at a
+    time, and each scene is dropped before the next file is read, so memory
+    holds rows, not scenes."""
+    from .explainer import build_dataset
+
+    dataset = build_dataset((), t, cfg)
+    keys: list[tuple[str, str, int]] = []
+    causes: dict[tuple[str, str, int], str] = {}
     for path in _trace_files(directory):
+        _add_trace(path, keep, dataset, keys, causes)
+    return dataset, {key: causes[key] for key in keys if key in causes}
+
+
+def _add_trace(path: Path, keep: Callable[[str], bool], dataset, keys: list, causes: dict) -> None:
+    """Add one trace file's rows to ``dataset``, its annotations to ``keys``
+    and its recorded causes to ``causes``, unless ``keep`` refuses its
+    scene's id.  The parsed scene is dropped on return.  A trace refusal
+    names the file."""
+    try:
         scene, annotations, records = _read_trace(path)
-        items.extend((scene, annotation) for annotation in annotations)
+    except TraceError as exc:
+        raise exc.in_file(path) from None
+    if keep(scene.scene_id):
+        dataset.extend((scene, annotation) for annotation in annotations)
+        keys += ((scene.scene_id, a.actor_id, a.frame_index) for a in annotations)
         causes.update(((c.scene_id, c.actor_id, c.frame_index), c.cause_id) for c in records)
-    return items, causes
 
 
 def _emit(payload: bytes, out: str | None) -> None:
@@ -190,11 +210,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .explainer import build_dataset, model_to_json, train
+    from .explainer import model_to_json, train
 
     cfg = _config_from(args)
-    items, _ = _annotated_items(args.traces)
-    dataset = build_dataset(items, t=cfg.t, cfg=cfg.calculi)
+    dataset, _ = _read_rows(args.traces, cfg.t, cfg.calculi)
     for warning in dataset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     counts = Counter(dataset.labels)
@@ -238,16 +257,14 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .explainer import build_dataset, evaluate, load_model
+    from .explainer import evaluate, load_model
 
     model = load_model(args.model)
-    items, causes = _annotated_items(args.traces)
+    keep = lambda scene_id: True
     if args.split != "all":
-        train_items, test_items = split_scenes(items, args.train_fraction)
-        items = train_items if args.split == "train" else test_items
-    keys = ((scene.scene_id, a.actor_id, a.frame_index) for scene, a in items)
-    causes = {key: causes[key] for key in keys if key in causes}
-    dataset = build_dataset(items, t=model.spec.t, cfg=model.cfg)
+        in_train = split_rule(args.train_fraction)
+        keep = lambda scene_id: in_train(scene_id) == (args.split == "train")
+    dataset, causes = _read_rows(args.traces, model.spec.t, model.cfg, keep)
     report = evaluate(model, dataset, threshold=args.threshold, causes=causes or None)
 
     rows = [(a, m.precision, m.recall, m.support) for a, m in sorted(report.per_action.items())]

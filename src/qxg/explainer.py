@@ -182,12 +182,13 @@ class EncodingSpec:
         return tuple(within)
 
     def densify(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """A 0/1 float matrix with one row per tuple of hot bits."""
+        """A boolean matrix with one row per tuple of hot bits: one byte a
+        feature, where a float matrix takes eight."""
         import numpy as np
 
         width = self.feature_len
-        X = np.zeros((len(rows), width), dtype=np.float64)
-        np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], 1.0)
+        X = np.zeros((len(rows), width), dtype=bool)
+        np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], True)
         return X
 
     @cached_property
@@ -272,6 +273,23 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def extend(self, items: Iterable[tuple[Scene, ActionAnnotation]]) -> None:
+        """Add the rows of more annotated scenes, as :func:`build_dataset`
+        makes them.  No scene is kept once this returns."""
+        for scene, annotation in items:
+            graph = build(scene, self.cfg)
+            samples = extract_features(graph, annotation.actor_id, annotation.frame_index, self.spec)
+            if not samples:
+                self.warnings.append(
+                    f"scene {scene.scene_id!r}: no pair chains for actor "
+                    f"{annotation.actor_id!r} at frame {annotation.frame_index}"
+                )
+                continue
+            for sample in samples:
+                self.rows.append(sample.bits)
+                self.labels.append(annotation.action)
+                self.keys.append(RowKey(scene.scene_id, sample.actor, sample.other, sample.frame))
+
 
 def build_dataset(
     items: Iterable[tuple[Scene, ActionAnnotation]],
@@ -283,25 +301,9 @@ def build_dataset(
     Every pair chain extracted at an annotation frame becomes one row
     labelled with that annotation's action.  Annotations with no extractable
     pair are recorded as warnings rather than silently dropped."""
-    spec = EncodingSpec(t, cfg.qdc_band_names)
-    rows: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    keys: list[RowKey] = []
-    warnings: list[str] = []
-    for scene, annotation in items:
-        graph = build(scene, cfg)
-        samples = extract_features(graph, annotation.actor_id, annotation.frame_index, spec)
-        if not samples:
-            warnings.append(
-                f"scene {scene.scene_id!r}: no pair chains for actor "
-                f"{annotation.actor_id!r} at frame {annotation.frame_index}"
-            )
-            continue
-        for sample in samples:
-            rows.append(sample.bits)
-            labels.append(annotation.action)
-            keys.append(RowKey(scene.scene_id, sample.actor, sample.other, sample.frame))
-    return Dataset(rows, labels, keys, spec, cfg, warnings)
+    dataset = Dataset([], [], [], EncodingSpec(t, cfg.qdc_band_names), cfg)
+    dataset.extend(items)
+    return dataset
 
 
 # -- forests ------------------------------------------------------------------
@@ -327,7 +329,7 @@ def _gini(pos: int, n: int) -> float:
 
 def _fit_tree(hi: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
     """Grow one tree in preorder on the bootstrap ``rows`` of ``hi``, the
-    boolean matrix ``X > 0.5`` that ``train`` makes once.
+    boolean matrix that ``train`` densifies once.
 
     The bootstrap is held as integer weights over its distinct rows, so one
     gather of a node's candidate columns and two int64 dot products count,
@@ -458,7 +460,7 @@ def train(
     actions = sorted(set(dataset.labels))
 
     y_all = np.asarray(dataset.labels)
-    hi = dataset.spec.densify(dataset.rows) > 0.5
+    hi = dataset.spec.densify(dataset.rows)
     forests: dict[str, list[Tree]] = {}
     action_seeds = np.random.SeedSequence(seed).spawn(len(actions))
     for action, action_seed in zip(actions, action_seeds):
@@ -785,8 +787,15 @@ def _tree_from_nodes(nodes: list[dict], feature_len: int) -> Tree:
     return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
 
 
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def model_to_json(model: Model) -> bytes:
-    payload = {
+    """The model as one line of compact JSON with sorted keys.  Each tree
+    is encoded on its own and the parts are joined, so the node dicts of
+    only one tree exist at a time."""
+    header = {
         "version": MODEL_VERSION,
         "seed": model.seed,
         "t": model.spec.t,
@@ -796,12 +805,16 @@ def model_to_json(model: Model) -> bytes:
             "feature_len": model.spec.feature_len,
         },
         "hyperparams": asdict(model.hyperparams),
-        "actions": {
-            action: {"trees": [{"nodes": _tree_to_nodes(t)} for t in model.forests[action]]}
-            for action in model.actions
-        },
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    actions = ",".join(
+        _compact(action)
+        + ':{"trees":['
+        + ",".join(_compact({"nodes": _tree_to_nodes(tree)}) for tree in model.forests[action])
+        + "]}"
+        for action in model.actions  # sorted, as sort_keys orders them
+    )
+    # "actions" sorts before every header key, so it opens the object
+    return ('{"actions":{' + actions + "}," + _compact(header)[1:] + "\n").encode("utf-8")
 
 
 # the keys model_to_json writes; a model file may hold no others

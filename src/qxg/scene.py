@@ -20,10 +20,12 @@ timestamp, an id twice in one frame, no frames) or ``OrderingViolation``
 (frame indices not strictly increasing, timestamps decreasing);
 ``load_trace`` raises the same errors with the line number added.
 
-``load_trace`` writes each frame straight into columns: the object ids, the
-classes, and one ``(x.lo, x.hi, y.lo, y.hi)`` float row per box.  It builds
-no ``Interval``, ``BBox2D`` or ``ObjectState``: ``Frame.rows`` hands
-``Builder.push_frame`` and ``serialize_scene`` the columns, and a parsed
+``load_trace`` writes each frame straight into columns: a tuple of object
+ids, a tuple of classes, and one ``array('d')`` holding each box as
+``x.lo, x.hi, y.lo, y.hi``, packed once per frame (32 bytes a box, where a
+tuple of four floats takes 168).  It builds no ``Interval``, ``BBox2D`` or
+``ObjectState``: ``Frame.rows`` hands ``Builder.push_frame`` and
+``serialize_scene`` rows read from the columns, and a parsed
 frame builds its ``objects`` the first time they are read, and only then.
 ``synthgen`` assembles its frames the same way.  A parsed frame equals,
 hashes, prints, pickles and copies like the same frame built from
@@ -34,9 +36,11 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 import sys
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Union
 
 from .calculi import BBox2D, Interval, Point2D, shown
 
@@ -54,6 +58,7 @@ __all__ = [
     "DanglingAnnotation",
     "load_trace",
     "serialize_scene",
+    "split_rule",
     "split_scenes",
 ]
 
@@ -67,20 +72,30 @@ _INT64 = range(-(2**63), 2**63)
 
 _FLOAT_MAX = sys.float_info.max
 
+# a packed box: x.lo, x.hi, y.lo, y.hi as native doubles, as array('d') holds them
+_BOX = struct.Struct("=4d")
+
 
 class TraceError(ValueError):
     """Base class for everything the trace parser can complain about."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, source: str | None = None):
         self.message = message
         self.line_no = line_no
+        self.source = source
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
 
     def at(self, line_no: int) -> "TraceError":
         """The same fault, reported at trace line ``line_no``."""
-        return type(self)(self.message, line_no)
+        return type(self)(self.message, line_no, self.source)
+
+    def in_file(self, source) -> "TraceError":
+        """The same fault, reported in the trace file ``source``."""
+        return type(self)(self.message, self.line_no, str(source))
 
 
 class MalformedLine(TraceError):
@@ -132,20 +147,24 @@ def _typed(key: str, value, kind):
 
 
 class _Columns:
-    """A parsed frame's objects before anyone reads them: the ids, the
-    classes and one ``(x.lo, x.hi, y.lo, y.hi)`` float row per box."""
+    """A parsed frame's objects before anyone reads them: the ids and the
+    classes as tuples, and the boxes packed into one array of doubles,
+    ``x.lo, x.hi, y.lo, y.hi`` each.  Packed once per frame, from lists."""
 
-    __slots__ = ("ids", "classes", "rows")
+    __slots__ = ("ids", "classes", "boxes")
 
-    def __init__(self, ids: list[str], classes: list[str], rows: list[tuple]):
-        self.ids = ids
-        self.classes = classes
-        self.rows = rows
+    def __init__(self, ids: list[str], classes: list[str], boxes: list[float]):
+        self.ids = tuple(ids)
+        self.classes = tuple(classes)
+        self.boxes = array("d", boxes)
+
+    def rows(self) -> Iterable[tuple[str, str, tuple[float, float, float, float]]]:
+        return zip(self.ids, self.classes, _BOX.iter_unpack(self.boxes))
 
     def objects(self) -> tuple[ObjectState, ...]:
         return tuple(
             ObjectState(object_id, obj_class, BBox2D(Interval(xl, xh), Interval(yl, yh)))
-            for object_id, obj_class, (xl, xh, yl, yh) in zip(self.ids, self.classes, self.rows)
+            for object_id, obj_class, (xl, xh, yl, yh) in self.rows()
         )
 
 
@@ -198,7 +217,7 @@ class Frame:
         ``ObjectState``; a built one derives the rows as they are read."""
         objects = _objects_slot.__get__(self)
         if type(objects) is _Columns:
-            return zip(objects.ids, objects.classes, objects.rows)
+            return objects.rows()
         return (
             (s.object_id, s.obj_class, (s.bbox.x.lo, s.bbox.x.hi, s.bbox.y.lo, s.bbox.y.hi))
             for s in objects
@@ -381,6 +400,8 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
     frames: list[Frame] = []
     frames_at: dict[int, Frame] = {}
     annotations: dict[str, list] = {kind: [] for kind in _ANNOTATIONS}  # (record, line)
+    # one str object per distinct id or class in the trace, not one per box
+    shared = {}.setdefault
 
     line_no = 0
     for line in _iter_lines(data):
@@ -417,7 +438,7 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
             timestamp = _require(record, "timestamp", float, line_no)
             ids: list[str] = []
             classes: list[str] = []
-            rows: list[tuple[float, float, float, float]] = []
+            boxes: list[float] = []
             for raw in _require(record, "objects", list, line_no):
                 # the fast path: string id and class, a box of four finite
                 # in-order floats; _parse_object states every rule
@@ -435,11 +456,11 @@ def load_trace(data: TraceInput) -> tuple[Scene, list[ActionAnnotation], list[Ca
                     fast = False
                 if not fast:
                     object_id, obj_class, (xl, xh, yl, yh) = _parse_object(raw, line_no)
-                ids.append(object_id)
-                classes.append(obj_class)
-                rows.append((xl, xh, yl, yh))
+                ids.append(shared(object_id, object_id))
+                classes.append(shared(obj_class, obj_class))
+                boxes += (xl, xh, yl, yh)
             try:
-                frame = Frame(index, timestamp, _Columns(ids, classes, rows))
+                frame = Frame(index, timestamp, _Columns(ids, classes, boxes))
                 if frames:
                     _check_order(frames[-1], frame)
             except TraceError as exc:
@@ -516,17 +537,33 @@ def serialize_scene(
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def split_scenes(items: Iterable, train_fraction: float = 0.7):
-    """Stable hash split of ``(scene, ...)`` items by scene id: membership
-    depends only on the id, so regenerating or reordering a corpus never
-    moves a scene across the boundary."""
+def split_rule(train_fraction: float = 0.7) -> Callable[[str], bool]:
+    """Whether a scene id falls on the train side of the stable hash split
+    that keeps a ``train_fraction`` share of ids: membership depends only
+    on the id, so regenerating or reordering a corpus never moves a scene
+    across the boundary."""
     import hashlib  # about 4 ms of OpenSSL start-up that only ``eval --split`` needs
 
-    if not 0.0 <= train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be within [0, 1], got {train_fraction}")
+    # bool is an int subclass; True would split as 1.0
+    if (
+        isinstance(train_fraction, bool)
+        or not isinstance(train_fraction, (int, float))
+        or not 0.0 <= train_fraction <= 1.0
+    ):
+        raise ValueError(f"train_fraction must be a number within [0, 1], got {shown(train_fraction)}")
+
+    def in_train(scene_id: str) -> bool:
+        digest = hashlib.sha256(scene_id.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64 < train_fraction
+
+    return in_train
+
+
+def split_scenes(items: Iterable, train_fraction: float = 0.7):
+    """``(train, test)``: the ``(scene, ...)`` items split by
+    :func:`split_rule` on their scene ids."""
+    in_train = split_rule(train_fraction)
     train, test = [], []
     for item in items:
-        digest = hashlib.sha256(item[0].scene_id.encode("utf-8")).digest()
-        share = int.from_bytes(digest[:8], "big") / 2**64
-        (train if share < train_fraction else test).append(item)
+        (train if in_train(item[0].scene_id) else test).append(item)
     return train, test

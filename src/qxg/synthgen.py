@@ -38,7 +38,7 @@ frame's only on the frames up to it, and an object's motion only on where
 it was last seen.  A draw that fails the check is refused with
 :class:`GenerationFailed`, as is a distractor that finds no safe placement.
 
-Frames are assembled as the id, class and box-row columns that
+Frames are assembled as the id, class and packed box columns that
 ``load_trace`` makes, so no per-box object is built unless a caller reads
 ``frame.objects``.
 """
@@ -347,13 +347,13 @@ def _assemble(
     offsets: dict[str, tuple[float, float]],
     indices: range = range(_N_FRAMES),
 ) -> Scene:
-    """The scene's frames at ``indices``, as columns.  One comparison
-    holds each box row to the ``Interval`` rules (finite, lo <= hi); a row
-    that fails it goes to ``BBox2D.from_bounds``, which raises that rule's
-    error."""
+    """The scene's frames at ``indices``, as columns packed once per frame.
+    One comparison holds each box to the ``Interval`` rules (finite,
+    lo <= hi); a box that fails it goes to ``BBox2D.from_bounds``, which
+    raises that rule's error."""
     frames = []
     for f in indices:
-        ids, classes, rows = [], [], []
+        ids, classes, boxes = [], [], []
         for oid, track in tracks.items():
             pos = track.pos.get(f)
             if pos is None:
@@ -364,16 +364,13 @@ def _assemble(
                 cx += off[0]
                 cy += off[1]
             hx, hy = track.half
-            row = (cx - hx, cx + hx, cy - hy, cy + hy)
-            if not (
-                -_FLOAT_MAX <= row[0] <= row[1] <= _FLOAT_MAX
-                and -_FLOAT_MAX <= row[2] <= row[3] <= _FLOAT_MAX
-            ):
-                BBox2D.from_bounds(*row)
+            xl, xh, yl, yh = cx - hx, cx + hx, cy - hy, cy + hy
+            if not (-_FLOAT_MAX <= xl <= xh <= _FLOAT_MAX and -_FLOAT_MAX <= yl <= yh <= _FLOAT_MAX):
+                BBox2D.from_bounds(xl, xh, yl, yh)
             ids.append(oid)
             classes.append(track.obj_class)
-            rows.append(row)
-        frames.append(Frame(f, f * 0.5, _Columns(ids, classes, rows)))
+            boxes += (xl, xh, yl, yh)
+        frames.append(Frame(f, f * 0.5, _Columns(ids, classes, boxes)))
     return Scene(scene_id, tuple(frames))
 
 

@@ -365,6 +365,37 @@ def test_edge_history_appends_match_a_list_model(first, steps):
             assert list(zip(got_frames, got_codes)) == _model_chain(relations, at_frame, t)
 
 
+def _frames_through_tail(history):
+    """``EdgeHistory.frames`` as first written: the frames of a tail as
+    long as the whole history."""
+    runs = history.runs
+    last = runs[-2] + len(history.codes) - 1 - runs[-1] if runs else 0
+    return list(history.tail(last, len(history))[0])
+
+
+def _history(frames):
+    history = EdgeHistory()
+    for i, f in enumerate(frames):
+        history.append(f, i)
+    return history
+
+
+@pytest.mark.parametrize(
+    "histories",
+    [
+        lambda: [EdgeHistory()],
+        lambda: [_history(range(5, 205))],
+        lambda: [_history(range(-7, 993, 2)), _history([0, 1, 2, 10, 11, 40, 41, 42, 43])],
+        lambda: [h for seed in range(3) for h in build(_flicker_scene(seed)).edges.values()],
+    ],
+    ids=["empty", "one-run", "many-runs", "flicker"],
+)
+def test_frames_read_from_runs_match_the_tail_definition(histories):
+    for history in histories():
+        assert history.frames == _frames_through_tail(history)
+        assert len(history.frames) == len(history)
+
+
 class TestPacking:
     def test_every_code_decodes_and_repacks(self):
         graph = QXG("s", DEFAULT_CONFIG.qdc_band_names)

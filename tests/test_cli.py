@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 
 import pytest
@@ -15,7 +16,8 @@ from qxg.builder import build, import_graph
 from qxg.calculi import BBox2D, CalculiConfig, Interval
 from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
 from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams
-from qxg.scene import CauseRecord, ObjectState, load_trace, serialize_scene
+from qxg.explainer import build_dataset, evaluate, load_model
+from qxg.scene import CauseRecord, MalformedLine, ObjectState, load_trace, serialize_scene, split_scenes
 from qxg.synthgen import generate_dataset, generate_scenes
 
 
@@ -540,6 +542,77 @@ class TestEval:
         result = run_cli("eval", "--traces", str(corpus), "--model", str(empty), timeout=60)
         assert result.returncode == 1
         assert result.stderr.startswith("error: eval:") and "Traceback" not in result.stderr
+
+
+class TestTraceDirectories:
+    """``train`` and ``eval`` read their directory one file at a time."""
+
+    ARGV = {
+        "train": lambda corpus, model_file, tmp_path: [
+            "train", "--traces", str(corpus), "--n-trees", "2", "--out", str(tmp_path / "m.json"),
+        ],
+        "eval-all": lambda corpus, model_file, tmp_path: [
+            "eval", "--traces", str(corpus), "--model", str(model_file),
+        ],
+        "eval-test": lambda corpus, model_file, tmp_path: [
+            "eval", "--traces", str(corpus), "--model", str(model_file), "--split", "test",
+        ],
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval-all", "eval-test"])
+    def test_refusal_names_the_file(self, corpus, model_file, tmp_path, capsys, command):
+        traces = tmp_path / "traces"
+        shutil.copytree(corpus, traces)
+        bad = sorted(traces.glob("*.jsonl"))[N_SCENES // 2]
+        bad.write_bytes(b'{"type": "header" "scene_id": "s"}\n' + bad.read_bytes())
+        argv = self.ARGV[command](traces, model_file, tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {argv[0]}: {bad}: line 1: not valid JSON (Expecting ',' delimiter)\n"
+        )
+        with pytest.raises(MalformedLine) as refused:  # the parser's own type, located
+            cli._read_rows(traces, 5, CalculiConfig())
+        assert (refused.value.source, refused.value.line_no) == (str(bad), 1)
+
+    @pytest.mark.parametrize("command", ["train", "eval-all", "eval-test"])
+    def test_one_parsed_scene_alive_at_a_time(self, corpus, model_file, tmp_path, capsys, monkeypatch, command):
+        # each trace's scene must be gone before the next file is parsed
+        parsed, most_alive = [], []
+        real = cli.load_trace
+
+        def load_trace(data):
+            most_alive.append(sum(scene() is not None for scene in parsed))
+            result = real(data)
+            parsed.append(weakref.ref(result[0]))
+            return result
+
+        monkeypatch.setattr(cli, "load_trace", load_trace)
+        assert main(self.ARGV[command](corpus, model_file, tmp_path)) == 0
+        assert len(most_alive) == N_SCENES
+        assert max(most_alive) == 0
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_sides_follow_split_scenes(self, corpus, model_file, tmp_path, capsys, split):
+        out = tmp_path / "metrics.json"
+        argv = ["eval", "--traces", str(corpus), "--model", str(model_file), "--split", split]
+        assert main([*argv, "--train-fraction", "0.6", "--out", str(out)]) == 0
+        model = load_model(model_file)
+        items, causes = [], {}
+        for path in sorted(corpus.glob("*.jsonl")):
+            scene, annotations, records = load_trace(path.read_bytes())
+            items += [(scene, annotation) for annotation in annotations]
+            causes.update(((c.scene_id, c.actor_id, c.frame_index), c.cause_id) for c in records)
+        side = split_scenes(items, 0.6)[split == "test"]
+        assert 0 < len(side) < len(items)
+        keys = {(scene.scene_id, a.actor_id, a.frame_index) for scene, a in side}
+        report = evaluate(
+            model,
+            build_dataset(side, model.spec.t, model.cfg),
+            causes={key: cause for key, cause in causes.items() if key in keys},
+        )
+        expected = asdict(report)
+        expected["top1_cause_recovery"] = dict(zip(("hits", "total"), expected.pop("cause_recovery")))
+        assert json.loads(out.read_text()) == expected
 
 
 class TestUndecodableJSON:

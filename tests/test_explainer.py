@@ -397,6 +397,13 @@ class TestBuildDataset:
         assert dataset.rows == []
         assert SPEC.densify(dataset.rows).shape == (0, SPEC.feature_len)
 
+    def test_densify_is_boolean(self):
+        dataset = build_dataset(_mini_corpus(4), t=4)
+        X = dataset.spec.densify(dataset.rows)
+        # one byte a feature: train's only dense matrix, with no float copy
+        assert X.dtype == np.bool_
+        assert [np.flatnonzero(x).tolist() for x in X] == [list(row) for row in dataset.rows]
+
 
 class TestTraining:
     def test_separates_the_mini_corpus(self, mini_model):

@@ -319,6 +319,18 @@ class TestCorpusPlumbing:
         with pytest.raises(ValueError):
             split_scenes([], train_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "fraction, shown",
+        [(True, "True"), (False, "False"), ("a", "'a'"), (None, "None"), (float("nan"), "nan"),
+         (-0.1, "-0.1"), ([0.5], "[0.5]")],
+    )
+    def test_split_refuses_what_is_not_a_fraction(self, fraction, shown):
+        message = f"train_fraction must be a number within [0, 1], got {shown}"
+        for items in ([], generate_dataset(1, master_seed=13)):
+            with pytest.raises(ValueError) as refused:
+                split_scenes(items, fraction)
+            assert str(refused.value) == message
+
     def test_split_roughly_honours_fraction(self):
         items = generate_dataset(25, master_seed=17)  # 100 scenes
         train, test = split_scenes(items, train_fraction=0.7)
