@@ -2,8 +2,9 @@
 
 The load generator is deliberately adversarial for the builder's hot loop:
 every object is visible in every frame, so each push touches all
-k(k-1)/2 pairs.  Timings come from the nanosecond clock the builder
-already wraps around its own frame updates.
+k(k-1)/2 pairs.  Its frames are packed straight into the columns every
+``Frame`` holds, with no per-box object.  Timings come from the nanosecond
+clock the builder already wraps around its own frame updates.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import Builder
-from .calculi import BBox2D, Interval
-from .scene import Frame, ObjectState
+from .scene import Frame, _Columns
 
 AREA = 150.0  # side of the square the crowd walks in, m
 STEP = 0.6  # per-frame step sigma, m
@@ -32,23 +32,17 @@ def crowd_frames(n_objects: int, n_frames: int, seed: int = 0) -> list[Frame]:
     y = rng.uniform(0.0, AREA, n_objects)
     half_w = rng.uniform(0.4, 1.3, n_objects)
     half_h = rng.uniform(0.4, 1.3, n_objects)
+    # one ids and one classes tuple shared by every frame; the boxes packed
+    # straight from the arrays, each row x.lo, x.hi, y.lo, y.hi
+    ids = tuple(f"o{i:03d}" for i in range(n_objects))
+    classes = ("car",) * n_objects
     frames = []
     for index in range(n_frames):
         if index:
             x = np.clip(x + rng.normal(0.0, STEP, n_objects), 0.0, AREA)
             y = np.clip(y + rng.normal(0.0, STEP, n_objects), 0.0, AREA)
-        objects = tuple(
-            ObjectState(
-                f"o{i:03d}",
-                "car",
-                BBox2D(
-                    Interval(float(x[i] - half_w[i]), float(x[i] + half_w[i])),
-                    Interval(float(y[i] - half_h[i]), float(y[i] + half_h[i])),
-                ),
-            )
-            for i in range(n_objects)
-        )
-        frames.append(Frame(index, index * 0.1, objects))
+        boxes = np.column_stack((x - half_w, x + half_w, y - half_h, y + half_h))
+        frames.append(Frame(index, index * 0.1, _Columns(ids, classes, boxes.tobytes())))
     return frames
 
 

@@ -8,8 +8,8 @@ smaller id of a pair and then by the larger one.
 
 ``Builder.push_frame`` is the hot path and deliberately avoids the dataclass
 machinery in :mod:`qxg.calculi`: it reads each box as four floats from
-``Frame.rows`` (the parsed columns of a frame from ``load_trace``, so no
-``ObjectState`` is built for it), and relations are computed with inline
+``Frame.rows`` (the packed columns every frame holds, so no ``ObjectState``
+is built for it), and relations are computed with inline
 float comparisons and stored as packed integer codes.  The arithmetic (``hypot``
 distances, exact endpoint ties, half-open bands) is kept identical to the
 pure functions so the two code paths agree bit for bit; the test suite

@@ -20,16 +20,14 @@ timestamp, an id twice in one frame, no frames) or ``OrderingViolation``
 (frame indices not strictly increasing, timestamps decreasing);
 ``load_trace`` raises the same errors with the line number added.
 
-``load_trace`` writes each frame straight into columns: a tuple of object
-ids, a tuple of classes, and one ``array('d')`` holding each box as
-``x.lo, x.hi, y.lo, y.hi``, packed once per frame (32 bytes a box, where a
-tuple of four floats takes 168).  It builds no ``Interval``, ``BBox2D`` or
-``ObjectState``: ``Frame.rows`` hands ``Builder.push_frame`` and
-``serialize_scene`` rows read from the columns, and a parsed
-frame builds its ``objects`` the first time they are read, and only then.
-``synthgen`` assembles its frames the same way.  A parsed frame equals,
-hashes, prints, pickles and copies like the same frame built from
-``ObjectState`` values.
+Every ``Frame`` holds its objects as columns: a tuple of ids, a tuple of
+classes, and one ``array('d')`` holding each box as ``x.lo, x.hi, y.lo,
+y.hi`` (32 bytes a box, where a tuple of four floats takes 168).
+``load_trace``, ``synthgen`` and ``bench`` write frames straight into
+columns, building no ``ObjectState``; ``Frame`` checks and packs a tuple of
+``ObjectState`` values once.  ``Frame.rows`` reads the columns, and each
+read of ``frame.objects`` builds a new tuple and keeps nothing, so a frame
+equals, hashes, prints, pickles and copies alike whatever built it.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ __all__ = [
     "SchemaViolation",
     "OrderingViolation",
     "DanglingAnnotation",
+    "MAX_OBJECTS_PER_FRAME",
     "load_trace",
     "serialize_scene",
     "split_rule",
@@ -74,6 +73,16 @@ _FLOAT_MAX = sys.float_info.max
 
 # a packed box: x.lo, x.hi, y.lo, y.hi as native doubles, as array('d') holds them
 _BOX = struct.Struct("=4d")
+
+# Every pair in a frame gets a relation, so cost grows with the square of a
+# frame's objects.  ``qxg build`` of a ``bench.crowd_frames`` trace of K
+# objects, 1 frame | 5 frames (2-vCPU VM, Python 3.11.7; wall time, peak RSS):
+#   K=160  0.3 s, 36 MB | 0.7 s, 60 MB     K=320  0.9 s, 75 MB | 2.8 s, 186 MB
+#   K=640  3.3 s, 248 MB | 10.8 s, 686 MB  K=1000 7.0 s, 580 MB | 22.2 s, 1.6 GB
+#   K=1280 11.3 s, 936 MB | 35.2 s, 2.7 GB
+# The bound admits the largest ``qxg bench`` crowd (640) and keeps a frame
+# under 0.6 GB; each further frame of a full crowd adds about 0.27 GB.
+MAX_OBJECTS_PER_FRAME = 1000
 
 
 class TraceError(ValueError):
@@ -147,32 +156,51 @@ def _typed(key: str, value, kind):
 
 
 class _Columns:
-    """A parsed frame's objects before anyone reads them: the ids and the
-    classes as tuples, and the boxes packed into one array of doubles,
-    ``x.lo, x.hi, y.lo, y.hi`` each.  Packed once per frame, from lists."""
+    """A frame's objects as columns: the ids and the classes as tuples, and
+    the boxes packed into one array of doubles, ``x.lo, x.hi, y.lo, y.hi``
+    each.  Every ``Frame`` holds its objects this way, whatever built it."""
 
     __slots__ = ("ids", "classes", "boxes")
 
-    def __init__(self, ids: list[str], classes: list[str], boxes: list[float]):
+    def __init__(self, ids: Iterable[str], classes: Iterable[str], boxes):
         self.ids = tuple(ids)
         self.classes = tuple(classes)
         self.boxes = array("d", boxes)
 
+    @classmethod
+    def pack(cls, objects) -> "_Columns":
+        """A tuple of ``ObjectState`` values as columns, packed once; any
+        other value is a ``SchemaViolation``."""
+        if type(objects) is not tuple:
+            _typed("objects", objects, tuple)
+        ids, classes, boxes = [], [], []
+        for state in objects:
+            if type(state) is not ObjectState:
+                raise SchemaViolation(f"objects entries must be ObjectState, got {shown(state)}")
+            if type(state.object_id) is not str:
+                _typed("id", state.object_id, str)
+            if type(state.obj_class) is not str:
+                _typed("class", state.obj_class, str)
+            box = state.bbox
+            if not (type(box) is BBox2D and type(box.x) is type(box.y) is Interval):
+                raise SchemaViolation(
+                    f"object {state.object_id!r} bbox must be a BBox2D of two Intervals, "
+                    f"got {shown(box)}"
+                )
+            ids.append(state.object_id)
+            classes.append(state.obj_class)
+            boxes += (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+        return cls(ids, classes, boxes)
+
     def rows(self) -> Iterable[tuple[str, str, tuple[float, float, float, float]]]:
         return zip(self.ids, self.classes, _BOX.iter_unpack(self.boxes))
-
-    def objects(self) -> tuple[ObjectState, ...]:
-        return tuple(
-            ObjectState(object_id, obj_class, BBox2D(Interval(xl, xh), Interval(yl, yh)))
-            for object_id, obj_class, (xl, xh, yl, yh) in self.rows()
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class Frame:
     index: int
     timestamp: float
-    objects: tuple[ObjectState, ...]  # a parsed frame builds these on first read
+    objects: tuple[ObjectState, ...]  # held as _Columns; each read builds a new tuple
 
     def __post_init__(self) -> None:
         # the type() tests are fast paths; _typed states each rule
@@ -180,28 +208,11 @@ class Frame:
             _typed("index", self.index, int)
         if type(self.timestamp) is not float or not abs(self.timestamp) <= _FLOAT_MAX:
             object.__setattr__(self, "timestamp", _typed("timestamp", self.timestamp, float))
-        objects = _objects_slot.__get__(self)
-        if type(objects) is _Columns:
-            ids = objects.ids  # load_trace typed each id and class
-        else:
-            if type(objects) is not tuple:
-                _typed("objects", objects, tuple)
-            for state in objects:
-                if type(state) is not ObjectState:
-                    raise SchemaViolation(
-                        f"objects entries must be ObjectState, got {shown(state)}"
-                    )
-                if type(state.object_id) is not str:
-                    _typed("id", state.object_id, str)
-                if type(state.obj_class) is not str:
-                    _typed("class", state.obj_class, str)
-                box = state.bbox
-                if not (type(box) is BBox2D and type(box.x) is type(box.y) is Interval):
-                    raise SchemaViolation(
-                        f"object {state.object_id!r} bbox must be a BBox2D of two Intervals, "
-                        f"got {shown(box)}"
-                    )
-            ids = [state.object_id for state in objects]
+        ids = _objects_slot.__get__(self).ids
+        if len(ids) > MAX_OBJECTS_PER_FRAME:
+            raise SchemaViolation(
+                f"at most {MAX_OBJECTS_PER_FRAME} objects per frame, got {len(ids)} in frame {self.index}"
+            )
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             for object_id in ids:
@@ -213,15 +224,9 @@ class Frame:
 
     def rows(self) -> Iterable[tuple[str, str, tuple[float, float, float, float]]]:
         """Each object as ``(id, class, (x.lo, x.hi, y.lo, y.hi))``, in
-        frame order.  A parsed frame reads its columns and builds no
-        ``ObjectState``; a built one derives the rows as they are read."""
-        objects = _objects_slot.__get__(self)
-        if type(objects) is _Columns:
-            return objects.rows()
-        return (
-            (s.object_id, s.obj_class, (s.bbox.x.lo, s.bbox.x.hi, s.bbox.y.lo, s.bbox.y.hi))
-            for s in objects
-        )
+        frame order, read from the frame's columns: no ``ObjectState`` is
+        built."""
+        return _objects_slot.__get__(self).rows()
 
     def get(self, object_id: str) -> ObjectState | None:
         for state in self.objects:
@@ -230,26 +235,26 @@ class Frame:
         return None
 
 
-# The slot the dataclass made for ``objects``, and the descriptor that takes
-# its place on the class: a read of ``frame.objects`` (by callers, ``==``,
-# ``hash``, ``repr``, ``dataclasses.replace`` or pickling) builds a parsed
-# frame's ObjectStates once and keeps them in the slot instead of the columns.
+# The slot the dataclass made for ``objects`` holds the frame's _Columns.  The
+# property that takes its place on the class packs every value set there (by
+# the constructor, ``dataclasses.replace`` or unpickling), and builds a new
+# tuple of ObjectStates on every read (by callers, ``==``, ``hash``, ``repr``
+# or pickling), keeping nothing.
 _objects_slot = Frame.objects
 
 
-class _ObjectsOnFirstRead:
-    def __get__(self, frame, owner=None):
-        objects = _objects_slot.__get__(frame, owner)
-        if type(objects) is _Columns:
-            objects = objects.objects()
-            _objects_slot.__set__(frame, objects)
-        return objects
-
-    def __set__(self, frame, value):
-        _objects_slot.__set__(frame, value)
+def _set_objects(frame: Frame, objects) -> None:
+    _objects_slot.__set__(frame, objects if type(objects) is _Columns else _Columns.pack(objects))
 
 
-Frame.objects = _ObjectsOnFirstRead()
+def _read_objects(frame: Frame) -> tuple[ObjectState, ...]:
+    return tuple(
+        ObjectState(object_id, obj_class, BBox2D(Interval(xl, xh), Interval(yl, yh)))
+        for object_id, obj_class, (xl, xh, yl, yh) in frame.rows()
+    )
+
+
+Frame.objects = property(_read_objects, _set_objects)
 
 
 def _check_order(last: Frame, frame: Frame) -> None:

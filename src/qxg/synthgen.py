@@ -38,9 +38,9 @@ frame's only on the frames up to it, and an object's motion only on where
 it was last seen.  A draw that fails the check is refused with
 :class:`GenerationFailed`, as is a distractor that finds no safe placement.
 
-Frames are assembled as the id, class and packed box columns that
-``load_trace`` makes, so no per-box object is built unless a caller reads
-``frame.objects``.
+Frames are assembled as the id, class and packed box columns that every
+``Frame`` holds, so no per-box object is built; a read of ``frame.objects``
+builds a new tuple and keeps nothing.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ from dataclasses import asdict
 import pytest
 
 from qxg.bench import BenchResult, crowd_frames, run_bench, run_scaling
-from qxg.scene import Scene
+from qxg.cli import MAX_BENCH_OBJECTS
+from qxg.scene import MAX_OBJECTS_PER_FRAME, Scene, load_trace, serialize_scene
 
 
 def test_crowd_frames_shape():
@@ -21,6 +22,13 @@ def test_crowd_frames_deterministic():
     b = crowd_frames(5, 4, seed=9)
     assert a == b
     assert crowd_frames(5, 4, seed=10) != a
+
+
+def test_the_largest_bench_crowd_fits_in_a_frame():
+    assert 160 <= MAX_BENCH_OBJECTS <= MAX_OBJECTS_PER_FRAME
+    scene = Scene("crowd", tuple(crowd_frames(MAX_BENCH_OBJECTS, 2)))
+    assert [len(frame.objects) for frame in scene.frames] == [MAX_BENCH_OBJECTS] * 2
+    assert load_trace(serialize_scene(scene))[0] == scene
 
 
 def test_crowd_frames_validation():

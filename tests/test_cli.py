@@ -754,6 +754,23 @@ def test_band_count_is_bounded(corpus, manifest, model_file, tmp_path, monkeypat
     assert "at most 4 distance bands, got 5" in err and out == ""
 
 
+def test_objects_per_frame_are_bounded(tmp_path, monkeypatch, capsys):
+    """A trace frame with more than MAX_OBJECTS_PER_FRAME objects is exit 1
+    from ``qxg build``.  The bound is patched small, so that no large frame
+    is built."""
+    monkeypatch.setattr("qxg.scene.MAX_OBJECTS_PER_FRAME", 2)
+    box = {"x": [0, 1], "y": [0, 1]}
+    trace = tmp_path / "crowd.jsonl"
+    trace.write_text(
+        json.dumps({"type": "header", "scene_id": "s", "version": 1}) + "\n"
+        + json.dumps({"type": "frame", "index": 0, "timestamp": 0.0,
+                      "objects": [{"id": oid, "class": "car", "bbox": box} for oid in "abc"]}) + "\n"
+    )
+    assert main(["build", "--trace", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert "line 2: at most 2 objects per frame, got 3 in frame 0" in err and out == ""
+
+
 def test_a_key_error_from_a_handler_is_not_a_refusal(monkeypatch, capsys):
     """A bare KeyError inside a handler is a fault of the program, not of
     its input: main lets it out, not ``unknown key`` with exit 1."""

@@ -648,9 +648,9 @@ def test_invalid_utf8_in_a_text_stream_names_its_line(tmp_path, sep):
 
 # -- the columnar parse ------------------------------------------------------------
 #
-# load_trace keeps each frame's boxes packed in an array of doubles; a
-# frame's ObjectStates are built on first read and must be the value a
-# constructed frame holds.
+# every frame keeps its boxes packed in an array of doubles; a read of a
+# frame's objects builds ObjectStates that must be the value a constructed
+# frame was given.
 
 
 def _annotated_scene():
@@ -697,29 +697,74 @@ def test_parsed_frames_act_as_the_frames_they_encode(read):
     assert [READS[read](frame) for frame in parsed.frames] == [READS[read](frame) for frame in scene.frames]
 
 
-def test_a_parsed_box_costs_its_packed_doubles():
-    # 12 frames of the synthetic corpus's shape: the ego, a cause and
-    # distractors, every coordinate a float with a fractional part
-    classes = {"ego": "car", "ped": "pedestrian", **{f"d{i}": "cyclist" for i in range(6)}}
+# 12 frames of the synthetic corpus's shape: the ego, a cause and
+# distractors, every coordinate a float with a fractional part
+_MEMORY_CLASSES = {"ego": "car", "ped": "pedestrian", **{f"d{i}": "cyclist" for i in range(6)}}
+
+
+def _memory_scene():
     box = lambda f, i: BBox2D(Interval(0.37 * i + 0.1 * f, 0.37 * i + 1.9), Interval(-2.13 * i, 4.41 + f))  # noqa: E731
-    scene = Scene(
+    return Scene(
         "mem",
         tuple(
-            Frame(f, f * 0.5, tuple(ObjectState(oid, cls, box(f, i)) for i, (oid, cls) in enumerate(classes.items())))
+            Frame(f, f * 0.5, tuple(ObjectState(oid, cls, box(f, i)) for i, (oid, cls) in enumerate(_MEMORY_CLASSES.items())))
             for f in range(12)
         ),
     )
+
+
+def _read_every_frame(scene):
+    assert all(frame.objects for frame in scene.frames)
+    return scene
+
+
+MEMORY_CASES = {
+    "parsed": lambda blob: load_trace(blob)[0],
+    "parsed-then-read": lambda blob: _read_every_frame(load_trace(blob)[0]),
+    "built": lambda blob: _memory_scene(),  # the ObjectState tuples are dropped once packed
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_a_parsed_box_costs_its_packed_doubles(case):
+    scene = _memory_scene()
     blob = serialize_scene(scene)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        parsed, _, _ = load_trace(blob)
+        held_scene = MEMORY_CASES[case](blob)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    boxes = sum(1 for frame in parsed.frames for _ in frame.rows())
-    assert boxes == 96 and parsed == scene
-    # measured 102 B a box (Python 3.11.7): 32 B of doubles, two tuple
-    # slots, and the frame's own objects shared among its 8 boxes.  A tuple
-    # of four boxed floats per box, and a new str per id and class, held 319 B.
+    boxes = sum(1 for frame in held_scene.frames for _ in frame.rows())
+    assert boxes == 96 and held_scene == scene
+    # measured 65-78 B a box in each case (Python 3.11.7): 32 B of doubles,
+    # two tuple slots, and the frame's own objects shared among its 8 boxes.
+    # A tuple of four boxed floats per box, and a new str per id and class,
+    # held 319 B; ObjectStates kept by a built frame, or by a parsed one
+    # after a read, held 299-304 B.
     assert held / boxes <= 150
+
+
+# -- objects per frame -------------------------------------------------------------
+#
+# The bound is patched small, so that no large frame is built.
+
+
+def test_a_frame_one_object_over_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr("qxg.scene.MAX_OBJECTS_PER_FRAME", 3)
+    assert len(_plain_frame(0, ids=("a", "b", "c")).objects) == 3
+    with pytest.raises(SchemaViolation, match="^at most 3 objects per frame, got 4 in frame 0$") as info:
+        _plain_frame(0, ids=("a", "b", "c", "d"))
+    assert info.value.line_no is None
+
+
+def test_load_trace_refuses_a_frame_over_the_bound_at_its_line(monkeypatch):
+    monkeypatch.setattr("qxg.scene.MAX_OBJECTS_PER_FRAME", 3)
+    blob = _trace(
+        HEADER,
+        _frame_line(0, 0.0, [_obj(oid) for oid in "abc"]),
+        _frame_line(1, 0.5, [_obj(oid) for oid in "abcd"]),
+    )
+    with pytest.raises(SchemaViolation, match="^line 3: at most 3 objects per frame, got 4 in frame 1$"):
+        load_trace(blob)
