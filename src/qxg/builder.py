@@ -23,22 +23,24 @@ its arguments and ``a - b`` is exactly ``-(b - a)`` in IEEE arithmetic, so
 The loop takes each object's row of ``graph.pairs`` once and finds a pair's
 history in it without building a tuple key.
 
-A scene holds few distinct codes (about 1,300 in a 160-object crowd over 200
-frames, against 2.5 M stored relations), so each graph interns its codes:
-equal codes are one shared ``int`` object, and a stored relation costs one
-list slot, its code, with no boxed ``int`` of its own.  A pair's frames are
-kept as maximal runs of consecutive indices, so a pair seen in every frame
-holds one run.  Each object's last-centre entry also records the frame it was
-last seen in: when both objects of a pair were in the previous frame, the
-pair was too, and the loop only appends the code to the open run.
+A pair's history is two typed arrays: its codes as 4-byte unsigned ints
+(every code fits: there are 10,816 per distance band, 692,224 at
+``MAX_BANDS``), so a stored relation costs 4 bytes and no ``int`` object, and
+its frames as maximal runs of consecutive indices in 8-byte signed ints, so a
+pair seen in every frame holds one run.  Each object's last-centre entry also
+records the frame it was last seen in: when both objects of a pair were in the
+previous frame, the pair was too, and the loop only appends the code to the
+open run.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import hypot
 from operator import itemgetter
 from time import perf_counter_ns
@@ -48,6 +50,7 @@ from typing import NamedTuple, Union
 from .calculi import (
     ALLEN_BY_LABEL,
     DEFAULT_CONFIG,
+    MAX_BANDS,
     MOTION_BY_LABEL,
     SECTOR_BY_LABEL,
     Allen,
@@ -137,17 +140,38 @@ class BuilderStats(NamedTuple):
     elapsed_ns: int
 
 
+class _Codes(array):
+    """An ``array('I')`` whose slice assignment also takes a list or any
+    other iterable, as a list's does; a plain ``array`` takes only another
+    array there."""
+
+    __slots__ = ()
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice) and not isinstance(value, array):
+            value = array("I", value)
+        super().__setitem__(index, value)
+
+
 @dataclass(slots=True)
 class EdgeHistory:
     """Per-pair relation history in ascending frames.  ``codes`` holds one
-    code per relation; the codes are shared ``int`` objects: the builder and
-    the JSON loader store one object per distinct code value in a graph.
-    ``runs`` holds the frames as maximal runs of consecutive indices,
-    flattened: each run's first frame, then the position in ``codes`` of its
-    first code.  Runs are always maximal, so equal histories compare equal."""
+    code per relation, four bytes each (``_Codes``, an ``array('I')``).
+    ``runs`` (an ``array('q')``) holds the frames as maximal runs of
+    consecutive indices, flattened: each run's first frame, then the position
+    in ``codes`` of its first code.  Runs are always maximal, so equal
+    histories compare equal.  Other sequences passed in are stored as these
+    arrays."""
 
-    codes: list[int] = field(default_factory=list)
-    runs: list[int] = field(default_factory=list)
+    codes: _Codes = field(default_factory=partial(_Codes, "I"))
+    runs: array = field(default_factory=partial(array, "q"))
+
+    def __post_init__(self):
+        # an array is slow to build, so the empty defaults are not rebuilt
+        if type(self.codes) is not _Codes:
+            self.codes = _Codes("I", self.codes)
+        if type(self.runs) is not array:
+            self.runs = array("q", self.runs)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -167,10 +191,11 @@ class EdgeHistory:
         every frame held."""
         runs, codes = self.runs, self.codes
         if not runs or frame != runs[-2] + len(codes) - runs[-1]:
-            runs += (frame, len(codes))
+            runs.append(frame)  # two appends are quicker than extend
+            runs.append(len(codes))
         codes.append(code)
 
-    def tail(self, at_frame: int, t: int) -> tuple[list[int] | range, list[int]]:
+    def tail(self, at_frame: int, t: int) -> tuple[list[int] | range, array]:
         """The frames and codes of the last up-to-``t`` relations at or
         before ``at_frame``, ascending."""
         runs, codes = self.runs, self.codes
@@ -300,7 +325,6 @@ class Builder:
         # object id -> (centre x, centre y, frame index) where last seen
         self._last_center: dict[str, tuple[float, float, int]] = {}
         self._last_index: int | None = None
-        self._codes: dict[int, int] = {}
 
     def push_frame(self, frame: Frame) -> BuilderStats:
         t0 = perf_counter_ns()
@@ -315,7 +339,6 @@ class Builder:
         last_center = self._last_center
         node_classes = self.graph.node_classes
         pairs = self.graph.pairs
-        intern = self._codes.setdefault
 
         # One pass over the frame's box rows; the pair loop below touches
         # plain floats only.  Each object's last centre is read here too: it
@@ -409,7 +432,6 @@ class Builder:
 
                 # pack_code, inlined
                 code = ax + 13 * (ay + 13 * (am + 4 * (bm + 4 * (band + n_bands * sector))))
-                code = intern(code, code)
                 if a_held and b_held:
                     row[b_id].codes.append(code)
                 else:
@@ -485,22 +507,38 @@ def _sorted_pairs(graph: QXG):
             yield a, b, row[b]
 
 
-def graph_to_dict(graph: QXG) -> dict:
-    edges_out = []
+def _graph_json(graph: QXG) -> bytes:
+    """The graph's JSON, written one edge at a time: the bytes that
+    ``json.dumps`` with compact separators gives for the graph as one dict
+    (``scene_id``, ``qdc_bands``, ``nodes`` by id, ``edges`` in
+    :func:`_sorted_pairs` order), with each id's and each distinct code's
+    text made once."""
+    dumps = json.dumps
+    quoted = cache(dumps)
+
+    @cache
+    def relation(code: int) -> str:  # its keys after the frame: `,"ra":[...],...}`
+        return "," + dumps(relation_to_dict(graph.decode(code)), separators=(",", ":"))[1:]
+
+    nodes = ",".join(
+        f'{{"id":{quoted(oid)},"class":{dumps(obj_class)}}}'
+        for oid, obj_class in sorted(graph.node_classes.items())
+    )
+    bands = dumps(list(graph.band_names), separators=(",", ":"))
+    out = io.BytesIO()
+    out.write(
+        f'{{"scene_id":{dumps(graph.scene_id)},"qdc_bands":{bands},'
+        f'"nodes":[{nodes}],"edges":['.encode()
+    )
+    comma = ""
     for a, b, history in _sorted_pairs(graph):
-        relations = [
-            {"frame": frame, **relation_to_dict(graph.decode(code))}
-            for frame, code in zip(history.frames, history.codes)
-        ]
-        edges_out.append({"a": a, "b": b, "relations": relations})
-    return {
-        "scene_id": graph.scene_id,
-        "qdc_bands": list(graph.band_names),
-        "nodes": [
-            {"id": oid, "class": graph.node_classes[oid]} for oid in sorted(graph.node_classes)
-        ],
-        "edges": edges_out,
-    }
+        body = ",".join(
+            [f'{{"frame":{f}{relation(c)}' for f, c in zip(history.frames, history.codes)]
+        )
+        out.write(f'{comma}{{"a":{quoted(a)},"b":{quoted(b)},"relations":[{body}]}}'.encode())
+        comma = ","
+    out.write(b"]}\n")
+    return out.getvalue()
 
 
 def _not_a_graph(problem: str) -> ValueError:
@@ -509,10 +547,11 @@ def _not_a_graph(problem: str) -> ValueError:
 
 def graph_from_dict(payload: dict) -> QXG:
     """Rebuild a graph, checking what the accessors rely on: ids, classes
-    and band names are strings, the bands a non-empty list without repeats,
-    every node is listed once, every edge joins two known nodes stored as
-    (smaller id, larger id), appears once, and lists at least one frame, as
-    strictly increasing signed 64-bit integers."""
+    and band names are strings, the bands a non-empty list of at most
+    ``MAX_BANDS`` without repeats (so every code fits in four bytes), every
+    node is listed once, every edge joins two known nodes stored as (smaller
+    id, larger id), appears once, and lists at least one frame, as strictly
+    increasing signed 64-bit integers."""
     try:
         scene_id, band_names = payload["scene_id"], payload["qdc_bands"]
         if type(scene_id) is not str:
@@ -521,13 +560,16 @@ def graph_from_dict(payload: dict) -> QXG:
             raise _not_a_graph(
                 f"qdc_bands must be a non-empty list of strings, got {shown(band_names)}"
             )
+        if len(band_names) > MAX_BANDS:
+            raise _not_a_graph(
+                f"at most {MAX_BANDS} distance bands, got {len(band_names)}"
+            )
         band_names = tuple(band_names)
         band_index = {name: i for i, name in enumerate(band_names)}
         if len(band_index) != len(band_names):
             raise _not_a_graph(f"band names {band_names} repeat")
         graph = QXG(scene_id, band_names)
         pairs = graph.pairs
-        intern = {}.setdefault  # equal codes share one int, as in Builder
         for node in payload["nodes"]:
             oid, obj_class = node["id"], node["class"]
             if type(oid) is not str:
@@ -563,7 +605,7 @@ def graph_from_dict(payload: dict) -> QXG:
                     raise _not_a_graph(f"edge {key} frame {shown(frame)} is outside signed 64 bits")
                 last = frame
                 code = relation_code(rel, band_index)
-                history.append(frame, intern(code, code))
+                history.append(frame, code)
             if last is None:  # the builder never stores a pair it has not seen
                 raise _not_a_graph(f"edge {key} has no relations")
             pairs[a][b] = history
@@ -585,7 +627,7 @@ def export_graph(graph: QXG, fmt: str = "json") -> bytes:
     ``dot`` is a one-way rendering where each edge is labelled with its most
     recent relation tuple."""
     if fmt == "json":
-        return (json.dumps(graph_to_dict(graph), separators=(",", ":")) + "\n").encode("utf-8")
+        return _graph_json(graph)
     if fmt == "dot":
         lines = [f"graph {_dot_quote(graph.scene_id)} {{"]
         for oid in sorted(graph.node_classes):

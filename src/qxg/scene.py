@@ -75,13 +75,13 @@ _FLOAT_MAX = sys.float_info.max
 _BOX = struct.Struct("=4d")
 
 # Every pair in a frame gets a relation, so cost grows with the square of a
-# frame's objects.  ``qxg build`` of a ``bench.crowd_frames`` trace of K
-# objects, 1 frame | 5 frames (2-vCPU VM, Python 3.11.7; wall time, peak RSS):
-#   K=160  0.3 s, 36 MB | 0.7 s, 60 MB     K=320  0.9 s, 75 MB | 2.8 s, 186 MB
-#   K=640  3.3 s, 248 MB | 10.8 s, 686 MB  K=1000 7.0 s, 580 MB | 22.2 s, 1.6 GB
-#   K=1280 11.3 s, 936 MB | 35.2 s, 2.7 GB
+# frame's objects.  ``qxg build --out /dev/null`` of a ``bench.crowd_frames``
+# trace of K objects, 1 frame | 5 frames (2-vCPU VM, Python 3.11.7; wall
+# time, the child's peak RSS from ``os.wait4``):
+#   K=160  0.2 s, 22 MB | 0.2 s, 27 MB     K=320  0.5 s, 36 MB | 0.6 s, 57 MB
+#   K=640  1.3 s, 98 MB | 2.1 s, 178 MB    K=1000 3.0 s, 218 MB | 5.1 s, 410 MB
 # The bound admits the largest ``qxg bench`` crowd (640) and keeps a frame
-# under 0.6 GB; each further frame of a full crowd adds about 0.27 GB.
+# under 0.25 GB; each further frame of a full crowd adds about 48 MB.
 MAX_OBJECTS_PER_FRAME = 1000
 
 

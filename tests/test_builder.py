@@ -1,9 +1,11 @@
 """Graph builder: incremental updates, chains, serialization."""
 
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -18,6 +20,7 @@ from qxg.calculi import (
     Point2D,
     CalculiConfig,
     DEFAULT_CONFIG,
+    MAX_BANDS,
     Motion,
     RARelation,
     converse_tuple,
@@ -357,8 +360,8 @@ def test_edge_history_appends_match_a_list_model(first, steps):
     assert history.frames == frames and len(history) == len(frames)
     runs = history.runs
     # each run's first frame and first position; runs are maximal
-    assert runs[1::2] == [i for i, f in enumerate(frames) if i == 0 or f != frames[i - 1] + 1]
-    assert runs[::2] == [frames[i] for i in runs[1::2]]
+    assert list(runs[1::2]) == [i for i, f in enumerate(frames) if i == 0 or f != frames[i - 1] + 1]
+    assert list(runs[::2]) == [frames[i] for i in runs[1::2]]
     for at_frame in range(first - 2, frames[-1] + 3):
         for t in range(0, len(frames) + 2):
             got_frames, got_codes = history.tail(at_frame, t)
@@ -685,35 +688,123 @@ def _box_walk(seed, n_objects, n_frames):
     return frames
 
 
-class TestStorage:
-    def test_a_stored_relation_costs_one_list_slot(self):
-        frames = _box_walk(0, 60, 40)
-        tracemalloc.start()
-        try:
-            builder = Builder("walk")
-            before = tracemalloc.get_traced_memory()[0]
-            for frame in frames:
-                builder.push_frame(frame)
-            used = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        stored = sum(len(history) for history in builder.graph.edges.values())
-        assert stored == 40 * 60 * 59 // 2
-        # one 8-byte code slot plus list over-allocation and the per-edge
-        # objects, the one run included (about 16 B); a frame slot per
-        # relation would add 8 bytes more, a boxed int per relation 28
-        assert used / stored <= 24
+def _flicker_stream(seed, n_objects=20, n_frames=600):
+    """:func:`_box_walk` with object ``i`` kept only in frames ``f`` where
+    ``f + i`` is even, so every pair that meets meets every other frame and
+    each of its relations opens a run of its own."""
+    return [
+        _frame(frame.index, *(s for i, s in enumerate(frame.objects) if (frame.index + i) % 2 == 0))
+        for frame in _box_walk(seed, n_objects, n_frames)
+    ]
 
-    def test_equal_codes_share_one_object(self):
+
+def _bytes_per_relation(frames):
+    """Memory a fresh builder holds after the frames, per stored relation,
+    as ``tracemalloc`` counts it."""
+    tracemalloc.start()
+    try:
         builder = Builder("walk")
-        for frame in _box_walk(1, 60, 40):
+        before = tracemalloc.get_traced_memory()[0]
+        for frame in frames:
+            builder.push_frame(frame)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stored = sum(len(history) for history in builder.graph.edges.values())
+    return used / stored, stored
+
+
+def _assert_typed(history):
+    assert history.codes.typecode == "I" and history.codes.itemsize == 4
+    assert history.runs.typecode == "q" and history.runs.itemsize == 8
+
+
+class TestStorage:
+    def test_a_stored_relation_costs_one_array_item(self, capsys):
+        per_relation, stored = _bytes_per_relation(_box_walk(0, 60, 40))
+        assert stored == 40 * 60 * 59 // 2
+        # a 4-byte code, array over-allocation and the per-edge objects,
+        # the one run included (about 6 B); an 8-byte list slot per relation
+        # would add 4 bytes more, a boxed int per relation 28
+        flicker, flicker_stored = _bytes_per_relation(_flicker_stream(0))
+        assert flicker_stored == 2 * 45 * 300
+        # every relation opens a run: its code and two 8-byte run entries
+        with capsys.disabled():
+            print(
+                f"\n[storage] consecutive: {per_relation:.1f} B/relation (bound 12); "
+                f"flicker: {flicker:.1f} B/relation (bound 24)"
+            )
+        assert per_relation <= 12
+        assert flicker <= 24
+
+    def test_histories_hold_typed_arrays(self):
+        builder = Builder("walk")
+        for frame in _flicker_stream(1, 6, 12):
             builder.push_frame(frame)
         graph = builder.graph
-        for g in (graph, import_graph(export_graph(graph))):
-            codes = [code for history in g.edges.values() for code in history.codes]
-            assert len({id(code) for code in codes}) == len(set(codes))
-            # most codes lie outside CPython's small-int cache
-            assert sum(code > 256 for code in set(codes)) > 100
+        loaded = import_graph(export_graph(graph))
+        assert loaded == graph
+        for g in (graph, loaded):
+            for history in g.edges.values():
+                _assert_typed(history)
+        built = EdgeHistory([700, 701, 700], [4, 0, 9, 2])
+        _assert_typed(built)
+        assert list(built.codes) == [700, 701, 700] and list(built.runs) == [4, 0, 9, 2]
+        # the fault the benchmark's harness test injects: a list into codes[:]
+        for (a, b), history in graph.edges.items():
+            history.codes[:] = [code ^ 1 for code in history.codes]
+            _assert_typed(history)
+            assert list(history.codes) == [code ^ 1 for code in loaded.pairs[a][b].codes]
+
+    def test_edge_values_survive_every_path(self):
+        """The top code at MAX_BANDS bands and frames at both signed 64-bit
+        limits, through append, tail, code_chain, export and import."""
+        bands = tuple(f"band{i}" for i in range(MAX_BANDS))
+        top = 13 * 13 * 4 * 4 * MAX_BANDS * 4 - 1
+        assert top == 692_223 == pack_code(12, 12, 3, 3, MAX_BANDS - 1, 3, MAX_BANDS)
+        low, high = -(2**63), 2**63 - 1
+        relations = [(low, top), (low + 1, 0), (high - 1, 5), (high, top)]
+        history = EdgeHistory()
+        for frame, code in relations:
+            history.append(frame, code)
+        assert list(history.runs) == [low, 0, high - 1, 2]
+        assert history.frames == [f for f, _ in relations] and list(history.codes) == [c for _, c in relations]
+        for at_frame in (low, low + 1, 0, high - 1, high):
+            for t in range(6):
+                frames, codes = history.tail(at_frame, t)
+                assert list(zip(frames, codes)) == _model_chain(relations, at_frame, t)
+        graph = QXG("edges", bands, {"a": "car", "b": "car"}, {"a": {"b": history}, "b": {}})
+        assert graph.code_chain("a", "b", high, 4) == relations
+        back = [(f, converse_code(c, MAX_BANDS)) for f, c in relations]
+        assert graph.code_chain("b", "a", high, 4) == back
+        assert graph.decode(top).qdc.band_name == bands[-1]
+        blob = export_graph(graph)
+        assert f'"frame":{low},'.encode() in blob and f'"frame":{high},'.encode() in blob
+        loaded = import_graph(blob)
+        assert loaded == graph and export_graph(loaded) == blob
+        assert loaded.code_chain("b", "a", high, 4) == back
+
+    def test_graph_json_refuses_more_bands_than_a_code_holds(self):
+        payload = json.loads(export_graph(build(_flicker_scene(2))))
+        payload["qdc_bands"] = [f"band{i}" for i in range(MAX_BANDS + 1)]
+        with pytest.raises(ValueError) as refused:
+            import_graph(json.dumps(payload))
+        assert str(refused.value) == (
+            f"not a serialized scene graph: at most {MAX_BANDS} distance bands, got {MAX_BANDS + 1}"
+        )
+
+    def test_pickled_and_deep_copied_graphs_equal_the_original(self):
+        graph = build(_flicker_scene(3))
+        assert sum(map(len, graph.pairs.values())) > 5
+        for copied in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert copied == graph and copied is not graph
+            assert export_graph(copied) == export_graph(graph)
+            for a, row in copied.pairs.items():
+                for b, history in row.items():
+                    assert history.codes is not graph.pairs[a][b].codes
+                    # array.__deepcopy__ returns a plain array('I'): the
+                    # same codes at the same width
+                    _assert_typed(history)
 
     @pytest.mark.parametrize(
         "make, field, other",
