@@ -152,6 +152,10 @@ class _Codes(array):
             value = array("I", value)
         super().__setitem__(index, value)
 
+    def __deepcopy__(self, memo):
+        # array.__deepcopy__ returns a plain array
+        return _Codes("I", self)
+
 
 @dataclass(slots=True)
 class EdgeHistory:

@@ -244,15 +244,17 @@ def _is_finite_real(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-# Every distance band adds one feature per chain slot, so a dataset row is
-# t x (39 + bands) floats wide.  ``qxg train`` on a 200-scene
-# ``qxg gen --seed 7`` corpus (2-vCPU VM; time, peak RSS):
-#   t=5:   5 bands 0.7 s, 44 MB; 500 bands 0.7 s, 55 MB; 1,000 1.0 s, 65 MB;
-#          2,000 1.1 s, 88 MB; 5,000 1.5 s, 163 MB
-#   t=256: 5 bands 1.9 s, 152 MB; 16 2.5 s, 181 MB; 64 3.4 s, 295 MB;
-#          256 8.5 s, 740 MB
-# The bound keeps the longest chains (``MAX_CHAIN_LENGTH``) under about
-# 300 MB on that corpus.  At t=5, 100,000 bands would be 4 MB per row.
+# Every distance band adds one feature per chain slot, so an encoded chain
+# has t x (39 + bands) features, and ``train`` holds one bit a row for each.
+# ``qxg train`` on a 200-scene ``qxg gen --seed 7`` corpus (2-vCPU VM; time,
+# peak RSS from ``os.wait4``, medians of 3; band edges evenly spaced to 50 m;
+# past 64 bands with this bound lifted):
+#   t=5:   5 bands 0.42 s, 37 MB; 500 0.43 s, 38 MB; 1,000 0.54 s, 38 MB;
+#          2,000 0.40 s, 38 MB; 5,000 0.43 s, 40 MB
+#   t=256: 5 bands 0.82 s, 49 MB; 16 0.86 s, 49 MB; 64 0.93 s, 48 MB;
+#          256 0.95 s, 56 MB
+# Training no longer sets the bound; it keeps the code space (10,816 codes a
+# band, 692,224 at 64) far inside a 4-byte ``array('I')`` code.
 MAX_BANDS = 64
 
 

@@ -37,9 +37,10 @@ GAP_ACCELERATE = "GapAccelerate"
 KINDS = (STOPPING_FOR_CROSSER, LEAD_VEHICLE_BRAKING, CLEAR_CRUISE, GAP_ACCELERATE)
 
 # Training time and memory grow with the chain length t.  On a 200-scene
-# ``qxg gen --seed 7`` corpus (2-vCPU VM), ``qxg train`` takes 0.9 s and 43 MB
-# peak RSS at t=5 and 3.5 s and 138 MB at t=256; ``qxg explain`` takes 0.17 s
-# at either.  ``qxg train --t 100000000`` ran for over 20 s without finishing.
+# ``qxg gen --seed 7`` corpus (2-vCPU VM; peak RSS from ``os.wait4``),
+# ``qxg train`` takes 0.42 s and 37 MB at t=5 and 0.82 s and 49 MB at t=256;
+# ``qxg explain`` takes 0.11 s at either.  ``qxg train --t 100000000`` ran for
+# over 20 s without finishing.
 MAX_CHAIN_LENGTH = 256
 
 # Training time, memory and the model file grow with the trees per action.

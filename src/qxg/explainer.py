@@ -42,9 +42,9 @@ from .scene import _FLOAT_MAX, NO_CAUSE, ActionAnnotation, Scene
 if TYPE_CHECKING:
     import numpy as np
 
-# Feature rows are tuples of hot bits from extraction to scoring; numpy loads
-# only inside ``train`` and the dense ``score``, so ``qxg explain`` and
-# ``qxg eval`` start without it.
+# Feature rows are tuples of hot bits from extraction to scoring, and ``train``
+# holds one int mask of rows per feature.  numpy loads only inside ``train``
+# and the dense ``score``, so ``qxg explain`` and ``qxg eval`` start without it.
 
 __all__ = [
     "EncodingSpec",
@@ -181,16 +181,6 @@ class EncodingSpec:
             offset += len(labels)
         return tuple(within)
 
-    def densify(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """A boolean matrix with one row per tuple of hot bits: one byte a
-        feature, where a float matrix takes eight."""
-        import numpy as np
-
-        width = self.feature_len
-        X = np.zeros((len(rows), width), dtype=bool)
-        np.put(X, [i * width + bit for i, bits in enumerate(rows) for bit in bits], True)
-        return X
-
     @cached_property
     def _feature_names(self) -> dict[int, str]:
         """The names ``describe_feature`` gave so far, by feature index."""
@@ -230,8 +220,10 @@ class PairSample:
 
     @property
     def vector(self) -> np.ndarray:
-        """The dense encoding, built on each access."""
-        return self.spec.densify([self.bits])[0]
+        """The dense boolean encoding, built on each access."""
+        import numpy as np
+
+        return np.isin(np.arange(self.spec.feature_len), self.bits)
 
 
 def extract_features(
@@ -275,9 +267,12 @@ class Dataset:
 
     def extend(self, items: Iterable[tuple[Scene, ActionAnnotation]]) -> None:
         """Add the rows of more annotated scenes, as :func:`build_dataset`
-        makes them.  No scene is kept once this returns."""
-        for scene, annotation in items:
-            graph = build(scene, self.cfg)
+        makes them, building a graph once for consecutive items of one scene
+        object.  No scene is kept once this returns."""
+        scene = None
+        for item_scene, annotation in items:
+            if item_scene is not scene:
+                scene, graph = item_scene, build(item_scene, self.cfg)
             samples = extract_features(graph, annotation.actor_id, annotation.frame_index, self.spec)
             if not samples:
                 self.warnings.append(
@@ -327,73 +322,72 @@ def _gini(pos: int, n: int) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _fit_tree(hi: np.ndarray, y: np.ndarray, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
-    """Grow one tree in preorder on the bootstrap ``rows`` of ``hi``, the
-    boolean matrix that ``train`` densifies once.
-
-    The bootstrap is held as integer weights over its distinct rows, so one
-    gather of a node's candidate columns and two int64 dot products count,
-    for every candidate at once, the drawn rows whose bit is set and the
-    positives among them.  Each child takes its counts from the parent's."""
+def _mask(flags: np.ndarray) -> int:
+    """The int whose bit r is set where ``flags[r]`` is nonzero."""
     import numpy as np
 
-    n_features = hi.shape[1]
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _fit_tree(columns: Sequence[int], positives: int, rows: np.ndarray, hp: Hyperparams, rng) -> Tree:
+    """Grow one tree in preorder on the bootstrap ``rows``.  ``columns[f]``
+    has bit r set when row r has feature f, and ``positives`` when row r
+    belongs to the action.
+
+    A node is the mask of its distinct drawn rows, and the bootstrap's
+    weights are split into bit planes: a candidate's drawn rows are
+    ``sum(popcount(node & columns[f] & plane_k) << k)``, and its positives
+    the same sum over the planes masked by ``positives``."""
+    import numpy as np
+
+    n_features = len(columns)
     subset_size = math.ceil(math.sqrt(n_features))
-    weights = np.bincount(rows, minlength=hi.shape[0])
-    pos_weights = weights * y
-    feature: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    fraction: list[float] = []
-    count: list[int] = []
+    weights = np.bincount(rows)
+    planes = [_mask(weights >> k & 1) for k in range(int(weights.max()).bit_length())]
+    pos_planes = [plane & positives for plane in planes]
+    nodes: list[list] = []  # [feature, left, right, fraction, count] in preorder
 
-    def new_node() -> int:
-        feature.append(-1)
-        left.append(-1)
-        right.append(-1)
-        fraction.append(0.0)
-        count.append(0)
-        return len(feature) - 1
+    def count(masks: list[tuple[int, int]], column: int) -> int:
+        total = 0
+        for k, mask in masks:
+            total += (mask & column).bit_count() << k
+        return total
 
-    def grow(node_rows: np.ndarray, n: int, pos: int, depth: int) -> int:
-        node = new_node()
+    def grow(node: int, n: int, pos: int, depth: int) -> None:
+        i = len(nodes)
+        nodes.append([-1, -1, -1, pos / n, n])
         if depth >= hp.max_depth or pos == 0 or pos == n or n < 2 * hp.min_samples_leaf:
-            fraction[node] = pos / n
-            count[node] = n
-            return node
+            return
 
         # Candidate features in ascending order so that on tied gain the
         # smallest feature index wins.
         candidates = rng.choice(n_features, size=subset_size, replace=False)
         candidates.sort()
-        bits = hi[node_rows][:, candidates]
-        n_his = (weights[node_rows] @ bits).tolist()
-        pos_his = (pos_weights[node_rows] @ bits).tolist()
+        drawn = [(k, mask) for k, plane in enumerate(planes) if (mask := node & plane)]
+        drawn_pos = [(k, mask) for k, plane in enumerate(pos_planes) if (mask := node & plane)]
         parent = _gini(pos, n)
         best_gain = 0.0
         best = -1
-        for k, (n_hi, pos_hi) in enumerate(zip(n_his, pos_his)):
+        for f in candidates.tolist():
+            n_hi = count(drawn, columns[f])
             n_lo = n - n_hi
             if n_hi < hp.min_samples_leaf or n_lo < hp.min_samples_leaf:
                 continue
+            pos_hi = count(drawn_pos, columns[f])
             pos_lo = pos - pos_hi
             gain = parent - (n_lo * _gini(pos_lo, n_lo) + n_hi * _gini(pos_hi, n_hi)) / n
             if gain > best_gain:
-                best_gain, best = gain, k
+                best_gain, best, best_n, best_pos = gain, f, n_hi, pos_hi
         if best < 0:
-            fraction[node] = pos / n
-            count[node] = n
-            return node
+            return
 
-        feature[node] = int(candidates[best])
-        mask = bits[:, best]
-        n_hi, pos_hi = n_his[best], pos_his[best]
-        left[node] = grow(node_rows[~mask], n - n_hi, pos - pos_hi, depth + 1)
-        right[node] = grow(node_rows[mask], n_hi, pos_hi, depth + 1)
-        return node
+        nodes[i] = [best, i + 1, -1, 0.0, 0]
+        grow(node & ~columns[best], n - best_n, pos - best_pos, depth + 1)
+        nodes[i][2] = len(nodes)
+        grow(node & columns[best], best_n, best_pos, depth + 1)
 
-    grow(np.flatnonzero(weights), rows.size, int(pos_weights.sum()), 0)
-    return Tree(tuple(feature), tuple(left), tuple(right), tuple(fraction), tuple(count))
+    grow(_mask(weights), rows.size, count(list(enumerate(pos_planes)), -1), 0)
+    return Tree(*(tuple(values) for values in zip(*nodes)))
 
 
 def _walk_forest(
@@ -460,11 +454,17 @@ def train(
     actions = sorted(set(dataset.labels))
 
     y_all = np.asarray(dataset.labels)
-    hi = dataset.spec.densify(dataset.rows)
+    columns = [bytearray((n + 7) // 8) for _ in range(dataset.spec.feature_len)]
+    for r, bits in enumerate(dataset.rows):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for f in bits:
+            columns[f][byte] |= bit
+    columns = [int.from_bytes(column, "little") for column in columns]
     forests: dict[str, list[Tree]] = {}
     action_seeds = np.random.SeedSequence(seed).spawn(len(actions))
     for action, action_seed in zip(actions, action_seeds):
         y = y_all == action
+        positives = _mask(y)
         pos_rows = np.flatnonzero(y)
         neg_rows = np.flatnonzero(~y)
         if neg_rows.size == 0:
@@ -489,7 +489,7 @@ def train(
             else:
                 pool = np.arange(n)
             rows = rng.choice(pool, size=pool.size, replace=True)
-            trees.append(_fit_tree(hi, y, rows, hyperparams, rng))
+            trees.append(_fit_tree(columns, positives, rows, hyperparams, rng))
         forests[action] = trees
     return Model(seed, dataset.spec, dataset.cfg, hyperparams, forests)
 

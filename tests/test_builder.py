@@ -39,6 +39,7 @@ from qxg.builder import (
     pack_code,
     relation_code,
     relation_to_dict,
+    _Codes,
 )
 from qxg.scene import Frame, ObjectState, Scene, SchemaViolation, load_trace, serialize_scene
 
@@ -802,9 +803,10 @@ class TestStorage:
             for a, row in copied.pairs.items():
                 for b, history in row.items():
                     assert history.codes is not graph.pairs[a][b].codes
-                    # array.__deepcopy__ returns a plain array('I'): the
-                    # same codes at the same width
+                    assert type(history.codes) is _Codes
                     _assert_typed(history)
+                    history.codes[:] = list(history.codes)  # a list slice, as on the original
+                    assert history == graph.pairs[a][b]
 
     @pytest.mark.parametrize(
         "make, field, other",

@@ -7,11 +7,11 @@ import shutil
 import subprocess
 import sys
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from qxg import calculi, cli
+from qxg import calculi, cli, explainer
 from qxg.builder import build, import_graph
 from qxg.calculi import BBox2D, CalculiConfig, Interval
 from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
@@ -300,6 +300,29 @@ class TestTrain:
         result = run_cli("train", "--traces", str(corpus), "--config", str(config))
         assert result.returncode == 1
         assert "unknown config keys" in result.stderr
+
+    def test_a_trace_is_built_once_for_all_its_annotations(self, tmp_path, monkeypatch, capsys):
+        generated, annotation, _ = generate_scenes(1, master_seed=7)[0]
+        annotations = [
+            replace(annotation, frame_index=annotation.frame_index - back, action=action)
+            for back, action in ((0, "Cruising"), (3, "Stopping"), (6, "Cruising"))
+        ]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "drive.jsonl").write_bytes(serialize_scene(generated, annotations, []))
+        scene, annotations, _ = load_trace((traces / "drive.jsonl").read_bytes())
+        # one graph per annotation, each built on its own
+        expected = [build_dataset([(scene, a)]) for a in annotations]
+        built = []
+        real = explainer.build
+        monkeypatch.setattr(explainer, "build", lambda scene, cfg: built.append(scene) or real(scene, cfg))
+        assert main(["train", "--traces", str(traces), "--out", str(tmp_path / "model.json")]) == 0
+        assert len(built) == 1
+        dataset, _ = cli._read_rows(traces, 5, CalculiConfig())
+        assert dataset.rows == [row for d in expected for row in d.rows]
+        assert dataset.labels == [label for d in expected for label in d.labels]
+        assert dataset.keys == [key for d in expected for key in d.keys]
+        assert len(dataset.rows) > len(expected[0].rows) > 0
 
 
 class TestExplain:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from qxg.explainer import (
     InsufficientData,
     LengthMismatch,
     Model,
+    PairSample,
     Tree,
     UnknownAction,
     VersionMismatch,
@@ -53,7 +55,7 @@ from qxg.explainer import (
     train,
 )
 from qxg.scene import ActionAnnotation, Frame, ObjectState, Scene
-from qxg.synthgen import generate_corpus
+from qxg.synthgen import generate_corpus, generate_scenes
 
 SPEC = EncodingSpec()
 
@@ -68,7 +70,25 @@ def _encode(spec, chain, at_frame):
                           rel.qdc.band_index, rel.star4, n_bands))
         for frame, rel in chain
     ]
-    return spec.densify([spec.hot_bits(codes, at_frame)])[0]
+    return _densify(spec, [spec.hot_bits(codes, at_frame)])[0]
+
+
+def _densify(spec, rows):
+    """A boolean matrix with one row per tuple of hot bits."""
+    X = np.zeros((len(rows), spec.feature_len), dtype=bool)
+    for i, bits in enumerate(rows):
+        X[i, list(bits)] = True
+    return X
+
+
+def _columns(X, y):
+    """``_fit_tree``'s inputs for a dense matrix and its labels: each
+    column, then the labels, as the int whose bit r is row r's value."""
+
+    def mask(flags):
+        return sum(1 << r for r, flag in enumerate(flags) if flag)
+
+    return [mask(column) for column in X.T], mask(y)
 
 
 def _bits(X):
@@ -259,6 +279,12 @@ class TestExtraction:
         graph = build(Scene("s", (Frame(0, 0.0, (_state("solo", 0, 0),)),)))
         assert extract_features(graph, "solo", 0, SPEC) == []
 
+    @given(st.sets(st.integers(0, SPEC.feature_len - 1)))
+    def test_vector_is_the_row_its_bits_describe(self, bits):
+        vector = PairSample("a", "b", 0, tuple(sorted(bits)), [], SPEC).vector
+        assert vector.dtype == np.bool_
+        assert vector.tolist() == [i in bits for i in range(SPEC.feature_len)]
+
 
 def _gappy_graph(seed, n_frames=12):
     """Five objects on random walks, each seen in about 60% of the frames,
@@ -377,7 +403,7 @@ class TestBuildDataset:
         dataset = build_dataset(_mini_corpus(4), t=4)
         spec = EncodingSpec(4, DEFAULT_CONFIG.qdc_band_names)
         # 8 scenes x 2 pairs for the ego, each row its ascending hot bits
-        assert spec.densify(dataset.rows).shape == (16, spec.feature_len)
+        assert _densify(spec, dataset.rows).shape == (16, spec.feature_len)
         assert all(list(row) == sorted(set(row)) for row in dataset.rows)
         assert sorted(set(dataset.labels)) == ["Chase", "Idle"]
         assert len(dataset.keys) == 16
@@ -395,14 +421,7 @@ class TestBuildDataset:
     def test_empty_input(self):
         dataset = build_dataset([])
         assert dataset.rows == []
-        assert SPEC.densify(dataset.rows).shape == (0, SPEC.feature_len)
-
-    def test_densify_is_boolean(self):
-        dataset = build_dataset(_mini_corpus(4), t=4)
-        X = dataset.spec.densify(dataset.rows)
-        # one byte a feature: train's only dense matrix, with no float copy
-        assert X.dtype == np.bool_
-        assert [np.flatnonzero(x).tolist() for x in X] == [list(row) for row in dataset.rows]
+        assert _densify(SPEC, dataset.rows).shape == (0, SPEC.feature_len)
 
 
 class TestTraining:
@@ -430,7 +449,7 @@ class TestTraining:
     def test_single_score_matches_batch(self, mini_model):
         model, dataset = mini_model
         rng = np.random.default_rng(11)
-        X = np.vstack([dataset.spec.densify(dataset.rows), rng.random((2000, model.spec.feature_len)) < 0.15])
+        X = np.vstack([_densify(dataset.spec, dataset.rows), rng.random((2000, model.spec.feature_len)) < 0.15])
         batch = predict_scores(model, _bits(X))
         for action in model.actions:
             for i, row in enumerate(X):
@@ -514,7 +533,7 @@ class TestTraining:
     def test_score_error_paths(self, mini_model):
         model, dataset = mini_model
         with pytest.raises(UnknownAction):
-            score(model, "Swerving", dataset.spec.densify(dataset.rows[:1])[0])
+            score(model, "Swerving", _densify(dataset.spec, dataset.rows[:1])[0])
         with pytest.raises(LengthMismatch):
             score(model, "Chase", np.zeros(7))
         with pytest.raises(LengthMismatch):
@@ -528,6 +547,25 @@ class TestTraining:
         with pytest.raises(LengthMismatch, match="feature bits"):
             predict_scores(model, [dataset.rows[0], (0, bit)])
 
+    def test_memory_at_the_longest_chains(self, capsys):
+        """``train`` holds one row mask per feature, not a rows x features
+        matrix: on the 200-scene ``qxg gen --seed 7`` corpus at t=256 (950
+        rows of 11,264 features) a dense boolean matrix alone is 10.2 MB."""
+        dataset = build_dataset(
+            [(scene, annotation) for scene, annotation, _ in generate_scenes(200, master_seed=7)],
+            t=MAX_CHAIN_LENGTH,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(dataset)
+            peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        with capsys.disabled():
+            print(f"\n[training] t={MAX_CHAIN_LENGTH}: {peak:.1f} MB traced (bound 8)")
+        assert peak <= 8
+
 
 class TestTreeFitting:
     def _xy(self):
@@ -540,14 +578,17 @@ class TestTreeFitting:
     def test_tied_gain_prefers_smaller_feature(self):
         X, y = self._xy()
         tree = _fit_tree(
-            X > 0.5, y, np.arange(len(y)), Hyperparams(n_trees=1, max_depth=3, min_samples_leaf=1), np.random.default_rng(5)
+            *_columns(X > 0.5, y),
+            np.arange(len(y)),
+            Hyperparams(n_trees=1, max_depth=3, min_samples_leaf=1),
+            np.random.default_rng(5),
         )
         assert tree.feature[0] == 0
 
     def test_pure_node_becomes_leaf(self):
         X = np.zeros((10, 3))
         y = np.ones(10, dtype=bool)
-        tree = _fit_tree(X > 0.5, y, np.arange(10), Hyperparams(), np.random.default_rng(0))
+        tree = _fit_tree(*_columns(X > 0.5, y), np.arange(10), Hyperparams(), np.random.default_rng(0))
         assert len(tree.feature) == 1
         assert tree.feature[0] == -1
         assert tree.fraction[0] == 1.0 and tree.count[0] == 10
@@ -557,7 +598,7 @@ class TestTreeFitting:
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         y = (X[:, 0] + X[:, 1] + X[:, 2]) >= 2
         hp = Hyperparams(n_trees=1, max_depth=1, min_samples_leaf=1)
-        tree = _fit_tree(X > 0.5, y, np.arange(200), hp, rng)
+        tree = _fit_tree(*_columns(X > 0.5, y), np.arange(200), hp, rng)
         assert len(tree.feature) <= 3
 
     def test_min_samples_leaf_respected(self):
@@ -565,7 +606,7 @@ class TestTreeFitting:
         X = rng.integers(0, 2, size=(60, 5)).astype(float)
         y = X[:, 2] > 0.5
         hp = Hyperparams(n_trees=1, max_depth=8, min_samples_leaf=7)
-        tree = _fit_tree(X > 0.5, y, np.arange(60), hp, rng)
+        tree = _fit_tree(*_columns(X > 0.5, y), np.arange(60), hp, rng)
         leaf_counts = [c for f, c in zip(tree.feature, tree.count) if f < 0]
         assert min(leaf_counts) >= 7
 
@@ -631,7 +672,7 @@ def synth_dataset():
 def _repeated_columns(dataset):
     """Each block of eight features repeats the block's first column, so
     most nodes draw tied candidates and the lowest index must win."""
-    X = dataset.spec.densify(dataset.rows)
+    X = _densify(dataset.spec, dataset.rows)
     for j in range(X.shape[1]):
         X[:, j] = X[:, j - j % 8]
     return Dataset(_bits(X), dataset.labels, dataset.keys, dataset.spec, dataset.cfg)
@@ -640,9 +681,13 @@ def _repeated_columns(dataset):
 def _train_both(dataset, hp, monkeypatch):
     """``train`` as it is, then with the reference loop as ``_fit_tree``."""
     model = train(dataset, seed=13, hyperparams=hp)
-    X = dataset.spec.densify(dataset.rows)
+    X = _densify(dataset.spec, dataset.rows)
     monkeypatch.setattr(
-        explainer, "_fit_tree", lambda hi, y, rows, hp, rng: _reference_fit_tree(X, y, rows, hp, rng)
+        explainer,
+        "_fit_tree",
+        lambda columns, positives, rows, hp, rng: _reference_fit_tree(
+            X, np.array([positives >> r & 1 for r in range(len(X))], dtype=bool), rows, hp, rng
+        ),
     )
     return model, train(dataset, seed=13, hyperparams=hp)
 
