@@ -41,7 +41,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from math import hypot
+from math import hypot, inf
 from operator import itemgetter
 from time import perf_counter_ns
 from types import MappingProxyType
@@ -234,11 +234,11 @@ class EdgeHistory:
 class QXG:
     """A finished (or in-progress) qualitative scene graph.
 
-    ``pairs`` is the one store of relation histories: every node has a row,
-    and ``pairs[a][b]`` is the history of the pair whose smaller id is ``a``
-    and larger id ``b``.  Stored relation tuples always describe ``a``
-    against ``b``; the accessors apply the converse when a query names the
-    pair in the opposite order.
+    ``pairs`` is the one store of relation histories: every node seen in a
+    related frame has a row, and ``pairs[a][b]`` is the history of the pair
+    whose smaller id is ``a`` and larger id ``b``.  Stored relation tuples
+    always describe ``a`` against ``b``; the accessors apply the converse
+    when a query names the pair in the opposite order.
     """
 
     scene_id: str
@@ -326,8 +326,8 @@ class Builder:
     def __init__(self, scene_id: str, cfg: CalculiConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.graph = QXG(scene_id, cfg.qdc_band_names)
-        # object id -> (centre x, centre y, frame index) where last seen
-        self._last_center: dict[str, tuple[float, float, int]] = {}
+        # object id -> (centre x, centre y, frame index or None) where last seen
+        self._last_center: dict[str, tuple[float, float, int | None]] = {}
         self._last_index: int | None = None
 
     def push_frame(self, frame: Frame) -> BuilderStats:
@@ -452,11 +452,27 @@ class Builder:
         return BuilderStats(frame_index, n, n * (n - 1) // 2, perf_counter_ns() - t0)
 
 
-def build(scene: Scene, cfg: CalculiConfig = DEFAULT_CONFIG) -> QXG:
-    """Run a whole scene through a fresh builder."""
+def build(
+    scene: Scene, cfg: CalculiConfig = DEFAULT_CONFIG, *, window: tuple[int, int] | None = None
+) -> QXG:
+    """Run a scene through a fresh builder: every frame, or with
+    ``window=(at_frame, t)`` only the frames ``at_frame - t + 1 .. at_frame``,
+    so that ``window_chains`` at ``at_frame`` over ``t`` frames equals a whole
+    build's.  An earlier frame keeps only each object's first class and its
+    centre for the window's motion relations, with no frame index, so the
+    window opens new runs.  Later frames are never read."""
     builder = Builder(scene.scene_id, cfg)
+    end, start = (window[0], window[0] - window[1] + 1) if window else (inf, -inf)
+    node_classes, last_center = builder.graph.node_classes, builder._last_center
     for frame in scene.frames:
-        builder.push_frame(frame)
+        if frame.index > end:
+            break
+        if frame.index >= start:
+            builder.push_frame(frame)
+        else:
+            for object_id, obj_class, (xl, xh, yl, yh) in frame.rows():
+                node_classes.setdefault(object_id, obj_class)
+                last_center[object_id] = ((xl + xh) / 2.0, (yl + yh) / 2.0, None)
     return builder.graph
 
 

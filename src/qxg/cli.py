@@ -26,15 +26,15 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .builder import Builder, export_graph
+from .builder import Builder, build, export_graph
 from .calculi import DEFAULT_CONFIG, CalculiConfig
 from .defs import KINDS, MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams, replace_from_json
 from .scene import CauseRecord, TraceError, load_trace, serialize_scene, split_rule
 
 # explainer, synthgen and bench load inside the handlers that call them.
 # synthgen and bench import numpy, and explainer imports it only inside
-# ``train`` and the dense ``score``, so ``qxg build``, ``qxg explain`` and
-# ``qxg eval`` start without numpy.
+# ``train`` and its ``_fit_tree``, the dense ``score`` and ``PairSample.vector``,
+# so ``qxg build``, ``qxg explain`` and ``qxg eval`` start without numpy.
 
 
 # -- config file --------------------------------------------------------------
@@ -236,15 +236,9 @@ def cmd_explain(args) -> int:
         raise ValueError(f"unknown actor {args.actor!r} in {scene.scene_id}")
     if scene.frame_at(args.frame) is None:
         raise ValueError(f"frame {args.frame} is not in {scene.scene_id}")
-    # feed only what a live system would have seen by the queried frame
-    builder = Builder(scene.scene_id, model.cfg)
-    for frame in scene.frames:
-        if frame.index > args.frame:
-            break
-        builder.push_frame(frame)
     result = explain(
         model,
-        builder.graph,
+        build(scene, model.cfg, window=(args.frame, model.spec.t)),
         args.actor,
         args.frame,
         args.action,
@@ -336,8 +330,9 @@ MAX_BENCH_OBJECTS = 640
 MAX_BENCH_FRAMES = 200
 _crowd_size = _int_in(2, MAX_BENCH_OBJECTS)
 
-# Generation cost grows with the square of the object count: on a 2-vCPU VM,
-# 2 scenes take 0.4 s at 50 distractors, 1 s at 200 and over a minute at 3200.
+# ClearCruise scenes keep every distractor in the window, so their cost grows
+# with the square of the count: on a 2-vCPU VM ``qxg gen --scenes 2 --kind
+# ClearCruise`` takes 0.36 s at 50 and 1.2 s at 200; extrapolated, ~100 s a scene at 3200.
 MAX_DISTRACTORS = 200
 
 

@@ -38,15 +38,15 @@ KINDS = (STOPPING_FOR_CROSSER, LEAD_VEHICLE_BRAKING, CLEAR_CRUISE, GAP_ACCELERAT
 
 # Training time and memory grow with the chain length t.  On a 200-scene
 # ``qxg gen --seed 7`` corpus (2-vCPU VM; peak RSS from ``os.wait4``),
-# ``qxg train`` takes 0.42 s and 37 MB at t=5 and 0.82 s and 49 MB at t=256;
-# ``qxg explain`` takes 0.11 s at either.  ``qxg train --t 100000000`` ran for
+# ``qxg train`` takes 0.31 s and 37 MB at t=5 and 0.47 s and 50 MB at t=256;
+# ``qxg explain`` takes 0.10-0.11 s at either.  ``qxg train --t 100000000`` ran for
 # over 20 s without finishing.
 MAX_CHAIN_LENGTH = 256
 
 # Training time, memory and the model file grow with the trees per action.
-# On the same corpus, ``qxg train`` takes 0.9 s and 44 MB peak RSS and writes
-# a 0.1 MB model at 100 trees (the default), and takes 30.5 s and 169 MB and
-# writes 11.5 MB at 10,000; ``qxg explain`` with that model takes 1.2-1.4 s.
+# On the same corpus, ``qxg train`` takes 0.31 s and 37 MB peak RSS and writes
+# a 0.1 MB model at 100 trees (the default), and takes 7.3 s and 115 MB and
+# writes 11.5 MB at 10,000; ``qxg explain`` with that model takes 0.71 s, 132 MB.
 # ``train`` spawns every tree's seed before growing the first tree: on a
 # 4-scene corpus, ``--n-trees 100000000`` was still running after 30 s.
 MAX_TREES = 10_000

@@ -42,9 +42,9 @@ from .scene import _FLOAT_MAX, NO_CAUSE, ActionAnnotation, Scene
 if TYPE_CHECKING:
     import numpy as np
 
-# Feature rows are tuples of hot bits from extraction to scoring, and ``train``
-# holds one int mask of rows per feature.  numpy loads only inside ``train``
-# and the dense ``score``, so ``qxg explain`` and ``qxg eval`` start without it.
+# Feature rows are tuples of hot bits from extraction to scoring; ``train`` holds
+# one int mask of rows per feature.  numpy loads only in ``train``, ``_fit_tree``,
+# the dense ``score`` and ``PairSample.vector``, so ``qxg explain`` and ``eval`` skip it.
 
 __all__ = [
     "EncodingSpec",
@@ -267,12 +267,23 @@ class Dataset:
 
     def extend(self, items: Iterable[tuple[Scene, ActionAnnotation]]) -> None:
         """Add the rows of more annotated scenes, as :func:`build_dataset`
-        makes them, building a graph once for consecutive items of one scene
-        object.  No scene is kept once this returns."""
-        scene = None
+        makes them, from one graph per run of items of one scene object, over
+        the frames their chains read.  No scene is kept once this returns."""
+        scene, annotations = None, []
         for item_scene, annotation in items:
-            if item_scene is not scene:
-                scene, graph = item_scene, build(item_scene, self.cfg)
+            if item_scene is not scene and annotations:
+                self._add_run(scene, annotations)
+                annotations = []
+            scene = item_scene
+            annotations.append(annotation)
+        if annotations:
+            self._add_run(scene, annotations)
+
+    def _add_run(self, scene: Scene, annotations: list[ActionAnnotation]) -> None:
+        frames = [annotation.frame_index for annotation in annotations]
+        last = max(frames)
+        graph = build(scene, self.cfg, window=(last, last - min(frames) + self.spec.t))
+        for annotation in annotations:
             samples = extract_features(graph, annotation.actor_id, annotation.frame_index, self.spec)
             if not samples:
                 self.warnings.append(
@@ -448,6 +459,8 @@ def train(
     """
     import numpy as np
 
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {shown(seed)}")
     n = len(dataset)
     if n == 0:
         raise InsufficientData("dataset has no rows")
@@ -698,6 +711,8 @@ def evaluate(
         raise LengthMismatch(
             f"dataset encoded with {dataset.spec}, model trained with {model.spec}"
         )
+    if dataset.cfg != model.cfg:  # the same bits, other relations
+        raise ValueError(f"dataset built with calculi {dataset.cfg}, model trained with {model.cfg}")
     scores = predict_scores(model, dataset.rows)
     per_action = {}
     for action in model.actions:

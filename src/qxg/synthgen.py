@@ -29,14 +29,10 @@ its window geometry clears safety margins around all relation boundaries,
 and jitter is a per-object constant offset, re-drawn if it would flip any
 windowed relation.  Positions elsewhere in the scene are free to vary.
 
-The jitter check compares the ego's windowed chains with and without the
-offsets.  It builds each graph from the objects with a position in the
-window, over the frames from the last one before the window that holds any
-of them up to the annotation, not from the whole scene.  Nothing else can
-change those chains: a pair's relations depend only on its two objects, a
-frame's only on the frames up to it, and an object's motion only on where
-it was last seen.  A draw that fails the check is refused with
-:class:`GenerationFailed`, as is a distractor that finds no safe placement.
+The jitter check compares the ego's chains with and without the offsets,
+each from a graph ``build`` relates over the window only.  A draw that fails
+it is refused with :class:`GenerationFailed`, as is a distractor that finds
+no safe placement.
 
 Frames are assembled as the id, class and packed box columns that every
 ``Frame`` holds, so no per-box object is built; a read of ``frame.objects``
@@ -342,17 +338,14 @@ def _build_tracks(spec: ScenarioSpec, rng: random.Random) -> tuple[dict[str, _Tr
 
 
 def _assemble(
-    scene_id: str,
-    tracks: dict[str, _Track],
-    offsets: dict[str, tuple[float, float]],
-    indices: range = range(_N_FRAMES),
+    scene_id: str, tracks: dict[str, _Track], offsets: dict[str, tuple[float, float]]
 ) -> Scene:
-    """The scene's frames at ``indices``, as columns packed once per frame.
-    One comparison holds each box to the ``Interval`` rules (finite,
+    """The scene's frames, as columns packed once per frame.  One
+    comparison holds each box to the ``Interval`` rules (finite,
     lo <= hi); a box that fails it goes to ``BBox2D.from_bounds``, which
     raises that rule's error."""
     frames = []
-    for f in indices:
+    for f in range(_N_FRAMES):
         ids, classes, boxes = [], [], []
         for oid, track in tracks.items():
             pos = track.pos.get(f)
@@ -374,26 +367,6 @@ def _assemble(
     return Scene(scene_id, tuple(frames))
 
 
-def _ego_window(
-    scene_id: str,
-    tracks: dict[str, _Track],
-    offsets: dict[str, tuple[float, float]],
-    ann_frame: int,
-) -> list:
-    """``window_chains(EGO_ID, ann_frame, _WINDOW)`` of the scene with
-    ``offsets``, built from what those chains depend on (see the module
-    docstring): the tracks seen in the window, from the last frame before
-    it that holds one of them, to the annotation."""
-    window = range(ann_frame - _WINDOW + 1, ann_frame + 1)
-    seen = {oid: track for oid, track in tracks.items() if not track.pos.keys().isdisjoint(window)}
-    first = min(
-        max((f for f in track.pos if f < window.start), default=window.start)
-        for track in seen.values()
-    )
-    scene = _assemble(scene_id, seen, offsets, range(first, ann_frame + 1))
-    return build(scene).window_chains(EGO_ID, ann_frame, _WINDOW)
-
-
 def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundTruth]:
     """Generate one scene.  Deterministic in the spec (including its seed):
     the same spec always yields byte-identical frames and annotations."""
@@ -401,19 +374,19 @@ def generate_scene(spec: ScenarioSpec) -> tuple[Scene, ActionAnnotation, GroundT
     tracks, cause, ann_frame = _build_tracks(spec, rng)
     scene_id = f"{spec.kind}-{spec.seed:x}"
 
-    if spec.jitter_sigma == 0.0:
-        scene = _assemble(scene_id, tracks, {})
-    else:
+    scene = _assemble(scene_id, tracks, {})
+    if spec.jitter_sigma != 0.0:
         # jitter must perturb coordinates without flipping any windowed
         # relation, otherwise the planted ground truth would silently rot
-        reference = _ego_window(scene_id, tracks, {}, ann_frame)
+        window = (ann_frame, _WINDOW)  # the frames the ego's chains read
+        reference = build(scene, window=window).window_chains(EGO_ID, *window)
         for _ in range(50):
             offsets = {
                 oid: (rng.gauss(0.0, spec.jitter_sigma), rng.gauss(0.0, spec.jitter_sigma))
                 for oid in tracks
             }
             scene = _assemble(scene_id, tracks, offsets)
-            if _ego_window(scene_id, tracks, offsets, ann_frame) == reference:
+            if build(scene, window=window).window_chains(EGO_ID, *window) == reference:
                 break
         else:
             raise GenerationFailed(

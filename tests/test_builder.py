@@ -674,6 +674,72 @@ def test_empty_frames_are_harmless():
     assert builder.graph.node_classes == {"a": "car"}
 
 
+def _turnover_scene(seed, n_steps=60):
+    """Objects that stay for a stretch of frames and come back 13 to 20
+    frames after it ends, longer than any chain here, flickering inside
+    their stretches; frame indices that skip; and a class drawn anew at
+    each sighting, so that the first class seen is the one kept."""
+    rng = random.Random(seed)
+    stretches = {}
+    for i in range(8):
+        first = rng.randrange(n_steps // 2)
+        end = first + rng.randrange(2, 12)
+        back = end + rng.randrange(13, 21)
+        stretches[f"t{i}"] = ((first, end), (back, back + rng.randrange(2, 12)))
+    frames, index = [], rng.randrange(-3, 3)
+    for step in range(n_steps):
+        states = [
+            _state(oid, rng.uniform(-20, 20), rng.uniform(-20, 20), cls=rng.choice(("car", "cyclist")))
+            for oid, spans in stretches.items()
+            if any(lo <= step <= hi for lo, hi in spans) and rng.random() < 0.8
+        ]
+        frames.append(_frame(index, *states))
+        index += rng.choice((1, 1, 1, 2, 3))
+    return Scene(f"turnover{seed}", tuple(frames))
+
+
+def _relations(graph):
+    return sum(len(history) for row in graph.pairs.values() for history in row.values())
+
+
+class TestWindowBuild:
+    def test_window_chains_match_a_whole_build(self, capsys):
+        """For every query frame and chain length, a window build gives every
+        actor the chains and partner classes of a build of the whole scene.
+        Queries are the generated corpora's annotations, with every object
+        as the actor, and every frame of turnover streams, including missing
+        frames and frames before the first."""
+        from qxg.synthgen import CLEAR_CRUISE, ScenarioSpec, generate_scenes
+
+        queries = []
+        for distractors in (0, 4, 20, 50):
+            base = ScenarioSpec(CLEAR_CRUISE, n_distractors=distractors)
+            for scene, annotation, _ in generate_scenes(8, base, master_seed=distractors):
+                queries.append((scene, [annotation.frame_index]))
+        for seed in range(4):
+            scene = _turnover_scene(seed)
+            first, last = scene.frames[0].index, scene.frames[-1].index
+            assert len(scene.frames) < last - first + 1  # some indices are missing
+            queries.append((scene, range(first - 2, last + 3)))
+        related = whole_related = 0
+        for scene, at_frames in queries:
+            whole = build(scene)
+            for at_frame, t in itertools.product(at_frames, (1, 5, 12)):
+                windowed = build(scene, window=(at_frame, t))
+                related += _relations(windowed)
+                whole_related += _relations(whole)
+                for actor in whole.node_classes:
+                    chains = windowed.window_chains(actor, at_frame, t)
+                    assert chains == whole.window_chains(actor, at_frame, t)
+                    for other, _ in chains:
+                        assert windowed.node_classes[other] == whole.node_classes[other]
+                    if chains:
+                        assert windowed.node_classes[actor] == whole.node_classes[actor]
+        with capsys.disabled():
+            print(f"\n[window] related {related} of {whole_related} relations a full build relates")
+        assert related < whole_related
+
+
 def _box_walk(seed, n_objects, n_frames):
     """Every object in every frame, each box drifting on a seeded walk."""
     rng = random.Random(seed)

@@ -17,7 +17,16 @@ from qxg.calculi import BBox2D, CalculiConfig, Interval
 from qxg.cli import MAX_BENCH_FRAMES, MAX_BENCH_OBJECTS, AppConfig, build_parser, load_app_config, main
 from qxg.defs import MAX_CHAIN_LENGTH, MAX_TREES, Hyperparams
 from qxg.explainer import build_dataset, evaluate, load_model
-from qxg.scene import CauseRecord, MalformedLine, ObjectState, load_trace, serialize_scene, split_scenes
+from qxg.scene import (
+    CauseRecord,
+    Frame,
+    MalformedLine,
+    ObjectState,
+    Scene,
+    load_trace,
+    serialize_scene,
+    split_scenes,
+)
 from qxg.synthgen import generate_dataset, generate_scenes
 
 
@@ -315,7 +324,9 @@ class TestTrain:
         expected = [build_dataset([(scene, a)]) for a in annotations]
         built = []
         real = explainer.build
-        monkeypatch.setattr(explainer, "build", lambda scene, cfg: built.append(scene) or real(scene, cfg))
+        monkeypatch.setattr(
+            explainer, "build", lambda scene, cfg, window: built.append(scene) or real(scene, cfg, window=window)
+        )
         assert main(["train", "--traces", str(traces), "--out", str(tmp_path / "model.json")]) == 0
         assert len(built) == 1
         dataset, _ = cli._read_rows(traces, 5, CalculiConfig())
@@ -385,6 +396,43 @@ class TestExplain:
         assert main(argv) == 0
         assert patched == capsysbinary.readouterr().out
         assert json.loads(patched)["candidates"]
+
+    @pytest.mark.parametrize("back", [0, 2])
+    def test_frames_after_the_query_are_never_read(
+        self, corpus, manifest, model_file, tmp_path, capsysbinary, back
+    ):
+        entry = _entry(manifest, "StoppingForCrosser")
+        scene, annotations, causes = load_trace((corpus / entry["file"]).read_bytes())
+        at = entry["frame"] - back
+        # after the queried frame every box moves 100 m east and a new object joins
+        frames = tuple(
+            frame if frame.index <= at else Frame(
+                frame.index,
+                frame.timestamp,
+                tuple(
+                    ObjectState(oid, cls, BBox2D.from_bounds(xl + 100.0, xh + 100.0, yl, yh))
+                    for oid, cls, (xl, xh, yl, yh) in frame.rows()
+                ) + (ObjectState("late", "cyclist", BBox2D.from_bounds(-1.0, 1.0, 4.0, 6.0)),),
+            )
+            for frame in scene.frames
+        )
+        assert frames[-1].index > at
+        changed = tmp_path / "changed.jsonl"
+        changed.write_bytes(serialize_scene(Scene(scene.scene_id, frames), annotations, causes))
+        outputs = []
+        for trace in (corpus / entry["file"], changed):
+            argv = [
+                "explain",
+                "--trace", str(trace),
+                "--model", str(model_file),
+                "--frame", str(at),
+                "--actor", entry["actor"],
+                "--action", entry["action"],
+            ]
+            assert main(argv) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["candidates"]
 
     def test_unknown_actor(self, corpus, manifest, model_file):
         entry = _entry(manifest, "StoppingForCrosser")

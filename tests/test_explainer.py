@@ -440,6 +440,13 @@ class TestTraining:
         b = train(dataset, seed=3, hyperparams=MINI_HP)
         assert model_to_json(a) == model_to_json(b)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, -1], ids=["bool", "float", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a model with such a seed would not load again
+        dataset = build_dataset(_mini_corpus(2), t=4)
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            train(dataset, seed=seed, hyperparams=MINI_HP)
+
     def test_seed_changes_the_forest(self):
         dataset = build_dataset(_mini_corpus(6), t=4)
         a = train(dataset, seed=3, hyperparams=MINI_HP)
@@ -925,6 +932,15 @@ class TestEvaluate:
         model, _ = mini_model
         other = build_dataset([_mini_scene(300, "Chase")], t=2)
         with pytest.raises(LengthMismatch):
+            evaluate(model, other)
+
+    def test_calculi_mismatch(self, mini_model):
+        # other band edges, same band names: the spec matches, the rows do not
+        model, _ = mini_model
+        cfg = CalculiConfig(qdc_band_edges=(3.0, 10.0, 30.0, 80.0))
+        other = build_dataset([_mini_scene(300, "Chase")], t=4, cfg=cfg)
+        assert other.spec == model.spec
+        with pytest.raises(ValueError, match="^dataset built with calculi .* model trained with "):
             evaluate(model, other)
 
 

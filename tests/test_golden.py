@@ -11,9 +11,12 @@ digest and says why.
 
 import hashlib
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 from qxg.builder import build, export_graph, import_graph
+from qxg.cli import main
 from qxg.explainer import (
     Hyperparams,
     build_dataset,
@@ -41,6 +44,12 @@ GOLDEN = {
 JITTERED_CORPUS = "b77f66e182fe338d8538d69449268f3e76a379270f913febd6b999dd4783e47f"
 
 
+# `qxg explain` through `cli.main` on the test traces of the pipeline below,
+# with its model, queried at each annotation, two frames before it and at
+# frame 2, inside the first chain's length: the output files in turn
+CLI_EXPLAIN = "76693d90768f2d0218e421ef14d9027a5d32a2a02be21acebd32945db975c318"
+
+
 def _digest(blobs) -> str:
     h = hashlib.sha256()
     for blob in blobs:
@@ -49,8 +58,15 @@ def _digest(blobs) -> str:
     return h.hexdigest()
 
 
-def pipeline_outputs() -> dict[str, list[bytes]]:
+def _corpus_and_model():
     train_items, test_items = generate_corpus(5, 2, master_seed=7)
+    dataset = build_dataset([(scene, annotation) for scene, annotation, _ in train_items])
+    model = train(dataset, seed=7, hyperparams=Hyperparams(n_trees=10))
+    return train_items, test_items, model
+
+
+def pipeline_outputs() -> dict[str, list[bytes]]:
+    train_items, test_items, model = _corpus_and_model()
     traces = [
         serialize_scene(
             scene,
@@ -59,8 +75,6 @@ def pipeline_outputs() -> dict[str, list[bytes]]:
         )
         for scene, annotation, truth in train_items + test_items
     ]
-    dataset = build_dataset([(scene, annotation) for scene, annotation, _ in train_items])
-    model = train(dataset, seed=7, hyperparams=Hyperparams(n_trees=10))
     graph_json, graph_dot, explanations = [], [], []
     for scene, annotation, _ in test_items:
         graph = build(scene)
@@ -91,6 +105,33 @@ def test_pipeline_outputs_are_byte_identical():
     assert not moved, f"outputs changed: {moved}; digests now {digests}"
 
 
+def cli_explain_outputs(directory: Path) -> list[bytes]:
+    _, test_items, model = _corpus_and_model()
+    model_file, out = directory / "model.json", directory / "explanation.json"
+    model_file.write_bytes(model_to_json(model))
+    blobs = []
+    for scene, annotation, _ in test_items:
+        trace = directory / f"{scene.scene_id}.jsonl"
+        trace.write_bytes(serialize_scene(scene, [annotation], []))
+        for frame in (annotation.frame_index, annotation.frame_index - 2, 2):
+            argv = [
+                "explain",
+                "--trace", str(trace),
+                "--model", str(model_file),
+                "--frame", str(frame),
+                "--actor", annotation.actor_id,
+                "--action", annotation.action,
+                "--out", str(out),
+            ]
+            assert main(argv) == 0
+            blobs.append(out.read_bytes())
+    return blobs
+
+
+def test_cli_explanations_are_byte_identical(tmp_path):
+    assert _digest(cli_explain_outputs(tmp_path)) == CLI_EXPLAIN
+
+
 def jittered_corpus_outputs() -> list[bytes]:
     items = generate_scenes(
         40, ScenarioSpec(CLEAR_CRUISE, n_distractors=10, jitter_sigma=0.3), master_seed=7
@@ -115,3 +156,5 @@ if __name__ == "__main__":
     for name, blobs in pipeline_outputs().items():
         print(f'    "{name}": "{_digest(blobs)}",')
     print(f'JITTERED_CORPUS = "{_digest(jittered_corpus_outputs())}"')
+    with tempfile.TemporaryDirectory() as directory:
+        print(f'CLI_EXPLAIN = "{_digest(cli_explain_outputs(Path(directory)))}"')

@@ -448,8 +448,9 @@ class TestMatchesWholeSceneReference:
 class TestWindowOnlyCheck:
     @pytest.mark.parametrize("kind, twin", _KIND_TWINS, ids=lambda v: str(v))
     def test_chains_match_the_whole_scene(self, kind, twin):
-        """The check's chains equal the whole scene's, for any offsets and
-        with a track that leaves and comes back inside the window."""
+        """The window build's chains, which the jitter check compares, equal
+        the whole scene's, for any offsets and with a track that leaves and
+        comes back inside the window."""
         for seed in range(10):
             rng = random.Random(seed)
             spec = ScenarioSpec(kind, 5, seed=seed, cruise_twin=twin)
@@ -458,8 +459,9 @@ class TestWindowOnlyCheck:
             gap.pos = {1: (6.0, 3.0), 2: (6.5, 3.5), ann - 2: (4.0, 9.0), ann: (4.0, 12.0)}
             tracks["gap"] = gap
             offsets = {oid: (rng.gauss(0.0, 2.0), rng.gauss(0.0, 2.0)) for oid in tracks}
-            whole = build(synthgen._assemble("s", tracks, offsets)).window_chains(EGO_ID, ann, 5)
-            assert synthgen._ego_window("s", tracks, offsets, ann) == whole
+            scene = synthgen._assemble("s", tracks, offsets)
+            whole = build(scene).window_chains(EGO_ID, ann, 5)
+            assert build(scene, window=(ann, 5)).window_chains(EGO_ID, ann, 5) == whole
 
 
 class TestGenerationFailed:
