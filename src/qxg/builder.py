@@ -23,14 +23,15 @@ its arguments and ``a - b`` is exactly ``-(b - a)`` in IEEE arithmetic, so
 The loop takes each object's row of ``graph.pairs`` once and finds a pair's
 history in it without building a tuple key.
 
-A pair's history is two typed arrays: its codes as 4-byte unsigned ints
-(every code fits: there are 10,816 per distance band, 692,224 at
-``MAX_BANDS``), so a stored relation costs 4 bytes and no ``int`` object, and
-its frames as maximal runs of consecutive indices in 8-byte signed ints, so a
-pair seen in every frame holds one run.  Each object's last-centre entry also
-records the frame it was last seen in: when both objects of a pair were in the
-previous frame, the pair was too, and the loop only appends the code to the
-open run.
+A pair's history is two typed arrays.  Its codes are unsigned ints of the
+narrowest ``array`` type that holds the graph's code space, as
+``_code_typecode`` picks it: there are 10,816 codes per distance band, so a
+code takes 2 bytes up to 6 bands and 4 from 7 up to ``MAX_BANDS`` (692,224
+codes), and no ``int`` object.  Its frames are maximal runs of consecutive
+indices in 8-byte signed ints, so a pair seen in every frame holds one run.
+Each object's last-centre entry also records the frame it was last seen in:
+when both objects of a pair were in the previous frame, the pair was too,
+and the loop only appends the code to the open run.
 """
 
 from __future__ import annotations
@@ -110,10 +111,21 @@ def unpack_code(code, n_bands: int) -> tuple:
 _ALLEN_CONVERSE = tuple(int(converse_allen(r)) for r in Allen)
 _SECTOR_CONVERSE = tuple(int(converse_star4(s)) for s in Sector)
 
+# Codes per distance band: 13 x 13 interval relations, 4 x 4 motion signs and
+# 4 sectors.
+_CODES_PER_BAND = 13 * 13 * 4 * 4 * 4
+
 # How many codes there are with the default bands.  The memos below map codes
 # (and band names) to values, so they keep no graph alive, and this bounds
 # each of them.
-_CODE_SPACE = 13 * 13 * 4 * 4 * len(DEFAULT_CONFIG.qdc_band_names) * 4
+_CODE_SPACE = _CODES_PER_BAND * len(DEFAULT_CONFIG.qdc_band_names)
+
+
+def _code_typecode(n_bands: int) -> str:
+    """The narrowest unsigned ``array`` type that holds every code of a graph
+    with ``n_bands`` distance bands: ``'H'`` (2 bytes) up to 6 bands, ``'I'``
+    (4 bytes) from 7 up to ``MAX_BANDS``."""
+    return "H" if _CODES_PER_BAND * n_bands <= 1 << 16 else "I"
 
 
 @lru_cache(maxsize=_CODE_SPACE)
@@ -141,31 +153,36 @@ class BuilderStats(NamedTuple):
 
 
 class _Codes(array):
-    """An ``array('I')`` whose slice assignment also takes a list or any
-    other iterable, as a list's does; a plain ``array`` takes only another
-    array there."""
+    """An unsigned ``array`` of codes (``'H'`` or ``'I'``) whose slice
+    assignment also takes a list, any other iterable or an array of another
+    type, as a list's does; a plain ``array`` takes only an array of its own
+    type there."""
 
     __slots__ = ()
 
     def __setitem__(self, index, value):
-        if isinstance(index, slice) and not isinstance(value, array):
-            value = array("I", value)
+        if isinstance(index, slice) and not (
+            isinstance(value, array) and value.typecode == self.typecode
+        ):
+            value = array(self.typecode, value)
         super().__setitem__(index, value)
 
     def __deepcopy__(self, memo):
         # array.__deepcopy__ returns a plain array
-        return _Codes("I", self)
+        return _Codes(self.typecode, self)
 
 
 @dataclass(slots=True)
 class EdgeHistory:
     """Per-pair relation history in ascending frames.  ``codes`` holds one
-    code per relation, four bytes each (``_Codes``, an ``array('I')``).
-    ``runs`` (an ``array('q')``) holds the frames as maximal runs of
-    consecutive indices, flattened: each run's first frame, then the position
-    in ``codes`` of its first code.  Runs are always maximal, so equal
-    histories compare equal.  Other sequences passed in are stored as these
-    arrays."""
+    code per relation (``_Codes``): the builder and ``import_graph`` give it
+    the type ``_code_typecode`` picks from the graph's band count, 2 bytes a
+    code at up to 6 bands and 4 beyond.  ``runs`` (an ``array('q')``) holds
+    the frames as maximal runs of consecutive indices, flattened: each run's
+    first frame, then the position in ``codes`` of its first code.  Runs are
+    always maximal, so equal histories compare equal, whatever their code
+    type.  Other sequences passed in are stored as these arrays, the codes
+    as ``'I'``, which holds any code."""
 
     codes: _Codes = field(default_factory=partial(_Codes, "I"))
     runs: array = field(default_factory=partial(array, "q"))
@@ -326,6 +343,7 @@ class Builder:
     def __init__(self, scene_id: str, cfg: CalculiConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self.graph = QXG(scene_id, cfg.qdc_band_names)
+        self._typecode = _code_typecode(len(cfg.qdc_band_names))
         # object id -> (centre x, centre y, frame index or None) where last seen
         self._last_center: dict[str, tuple[float, float, int | None]] = {}
         self._last_index: int | None = None
@@ -340,6 +358,7 @@ class Builder:
         edges = self.cfg.qdc_band_edges
         n_bands = len(self.cfg.qdc_band_names)
         eps = self.cfg.qtc_epsilon
+        typecode = self._typecode
         last_center = self._last_center
         node_classes = self.graph.node_classes
         pairs = self.graph.pairs
@@ -441,7 +460,7 @@ class Builder:
                 else:
                     history = row.get(b_id)
                     if history is None:
-                        history = row[b_id] = EdgeHistory()
+                        history = row[b_id] = EdgeHistory(_Codes(typecode))
                     history.append(frame_index, code)
 
         for st in states:
@@ -460,9 +479,21 @@ def build(
     so that ``window_chains`` at ``at_frame`` over ``t`` frames equals a whole
     build's.  An earlier frame keeps only each object's first class and its
     centre for the window's motion relations, with no frame index, so the
-    window opens new runs.  Later frames are never read."""
+    window opens new runs.  Later frames are never read.  A window that is
+    not two integers (bools excluded) with ``t >= 1`` is refused."""
+    end, start = inf, -inf
+    if window is not None:
+        if not (
+            type(window) is tuple
+            and len(window) == 2
+            and all(type(v) is int for v in window)
+            and window[1] >= 1
+        ):
+            raise ValueError(
+                f"window must be (at_frame, t), two integers with t >= 1, got {shown(window)}"
+            )
+        end, start = window[0], window[0] - window[1] + 1
     builder = Builder(scene.scene_id, cfg)
-    end, start = (window[0], window[0] - window[1] + 1) if window else (inf, -inf)
     node_classes, last_center = builder.graph.node_classes, builder._last_center
     for frame in scene.frames:
         if frame.index > end:
@@ -568,7 +599,8 @@ def _not_a_graph(problem: str) -> ValueError:
 def graph_from_dict(payload: dict) -> QXG:
     """Rebuild a graph, checking what the accessors rely on: ids, classes
     and band names are strings, the bands a non-empty list of at most
-    ``MAX_BANDS`` without repeats (so every code fits in four bytes), every
+    ``MAX_BANDS`` without repeats (so every code fits in four bytes, and in
+    two at up to 6 bands), every
     node is listed once, every edge joins two known nodes stored as (smaller
     id, larger id), appears once, and lists at least one frame, as strictly
     increasing signed 64-bit integers."""
@@ -590,6 +622,7 @@ def graph_from_dict(payload: dict) -> QXG:
             raise _not_a_graph(f"band names {band_names} repeat")
         graph = QXG(scene_id, band_names)
         pairs = graph.pairs
+        typecode = _code_typecode(len(band_names))
         for node in payload["nodes"]:
             oid, obj_class = node["id"], node["class"]
             if type(oid) is not str:
@@ -612,7 +645,7 @@ def graph_from_dict(payload: dict) -> QXG:
                 problem = None
             if problem:
                 raise _not_a_graph(f"edge {shown(key)} {problem}")
-            history = EdgeHistory()
+            history = EdgeHistory(_Codes(typecode))
             last = None
             for rel in edge["relations"]:
                 frame = rel["frame"]

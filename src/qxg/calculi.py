@@ -254,7 +254,9 @@ def _is_finite_real(value) -> bool:
 #   t=256: 5 bands 0.82 s, 49 MB; 16 0.86 s, 49 MB; 64 0.93 s, 48 MB;
 #          256 0.95 s, 56 MB
 # Training no longer sets the bound; it keeps the code space (10,816 codes a
-# band, 692,224 at 64) far inside a 4-byte ``array('I')`` code.
+# band, 692,224 at 64) far inside a 4-byte ``array('I')`` code.  Up to 6
+# bands (64,896 codes) a code fits in 2 bytes, and the builder stores it in
+# an ``array('H')`` (``builder._code_typecode``).
 MAX_BANDS = 64
 
 

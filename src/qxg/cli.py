@@ -231,11 +231,19 @@ def cmd_explain(args) -> int:
 
     model = load_model(args.model)
     scene, _, _ = _read_trace(args.trace)
-    # the ids come from the rows, so that no frame builds its ObjectStates
-    if not any(oid == args.actor for frame in scene.frames for oid, _, _ in frame.rows()):
-        raise ValueError(f"unknown actor {args.actor!r} in {scene.scene_id}")
     if scene.frame_at(args.frame) is None:
         raise ValueError(f"frame {args.frame} is not in {scene.scene_id}")
+    # the ids come from the rows, so that no frame builds its ObjectStates;
+    # frames after the query are never read, as in the window build
+    if not any(
+        oid == args.actor
+        for frame in scene.frames
+        if frame.index <= args.frame
+        for oid, _, _ in frame.rows()
+    ):
+        raise ValueError(
+            f"unknown actor {args.actor!r} in {scene.scene_id} at or before frame {args.frame}"
+        )
     result = explain(
         model,
         build(scene, model.cfg, window=(args.frame, model.spec.t)),

@@ -76,12 +76,15 @@ _BOX = struct.Struct("=4d")
 
 # Every pair in a frame gets a relation, so cost grows with the square of a
 # frame's objects.  ``qxg build --out /dev/null`` of a ``bench.crowd_frames``
-# trace of K objects, 1 frame | 5 frames (2-vCPU VM, Python 3.11.7; wall
-# time, the child's peak RSS from ``os.wait4``):
-#   K=160  0.2 s, 22 MB | 0.2 s, 27 MB     K=320  0.5 s, 36 MB | 0.6 s, 57 MB
-#   K=640  1.3 s, 98 MB | 2.1 s, 178 MB    K=1000 3.0 s, 218 MB | 5.1 s, 410 MB
+# trace of K objects, 1 frame | 5 frames, with 2-byte codes (shared 2-vCPU
+# VM, Python 3.11.7; wall time over two to five runs, the child's peak RSS
+# from ``os.wait4``, launched from a 14 MB process):
+#   K=160  0.2-0.3 s, 22 MB | 0.3-0.5 s, 27 MB
+#   K=320  0.5-0.7 s, 36 MB | 1.0-1.3 s, 56 MB
+#   K=640  1.8-2.4 s, 98 MB | 3.0-3.8 s, 175 MB
+#   K=1000 3.8-4.9 s, 217 MB | 8.4-10.2 s, 399 MB
 # The bound admits the largest ``qxg bench`` crowd (640) and keeps a frame
-# under 0.25 GB; each further frame of a full crowd adds about 48 MB.
+# under 0.25 GB; each further frame of a full crowd adds about 46 MB.
 MAX_OBJECTS_PER_FRAME = 1000
 
 

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -739,6 +740,24 @@ class TestWindowBuild:
             print(f"\n[window] related {related} of {whole_related} relations a full build relates")
         assert related < whole_related
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (11, 0), (11, -3), (True, 5), (11.0, 5), (11, 5.5), ("11", 5), (11, True),
+            (11,), (11, 5, 1), [11, 5], 11,
+        ],
+        ids=[
+            "t 0", "t negative", "bool frame", "float frame", "float t", "str frame", "bool t",
+            "one item", "three items", "list", "int",
+        ],
+    )
+    def test_a_malformed_window_is_refused(self, window):
+        with pytest.raises(ValueError) as refused:
+            build(_flicker_scene(4), window=window)
+        assert str(refused.value) == (
+            f"window must be (at_frame, t), two integers with t >= 1, got {window!r}"
+        )
+
 
 def _box_walk(seed, n_objects, n_frames):
     """Every object in every frame, each box drifting on a seeded walk."""
@@ -765,12 +784,12 @@ def _flicker_stream(seed, n_objects=20, n_frames=600):
     ]
 
 
-def _bytes_per_relation(frames):
+def _bytes_per_relation(frames, cfg=DEFAULT_CONFIG):
     """Memory a fresh builder holds after the frames, per stored relation,
     as ``tracemalloc`` counts it."""
     tracemalloc.start()
     try:
-        builder = Builder("walk")
+        builder = Builder("walk", cfg)
         before = tracemalloc.get_traced_memory()[0]
         for frame in frames:
             builder.push_frame(frame)
@@ -781,8 +800,19 @@ def _bytes_per_relation(frames):
     return used / stored, stored
 
 
-def _assert_typed(history):
-    assert history.codes.typecode == "I" and history.codes.itemsize == 4
+def _bands(n):
+    """A config with ``n`` distance bands."""
+    return CalculiConfig(tuple(float(i) for i in range(1, n)), tuple(f"band{i}" for i in range(n)))
+
+
+SEVEN_BANDS = _bands(7)
+
+
+def _assert_typed(history, n_bands=len(DEFAULT_CONFIG.qdc_band_names)):
+    """Codes in 2 bytes up to 6 bands (10,816 codes a band, 64,896 at 6),
+    in 4 beyond; frames' runs in 8."""
+    typecode, itemsize = ("H", 2) if n_bands <= 6 else ("I", 4)
+    assert history.codes.typecode == typecode and history.codes.itemsize == itemsize
     assert history.runs.typecode == "q" and history.runs.itemsize == 8
 
 
@@ -790,22 +820,26 @@ class TestStorage:
     def test_a_stored_relation_costs_one_array_item(self, capsys):
         per_relation, stored = _bytes_per_relation(_box_walk(0, 60, 40))
         assert stored == 40 * 60 * 59 // 2
-        # a 4-byte code, array over-allocation and the per-edge objects,
-        # the one run included (about 6 B); an 8-byte list slot per relation
-        # would add 4 bytes more, a boxed int per relation 28
+        # a 2-byte code, array over-allocation and the per-edge objects,
+        # the one run included (about 6 B); a 4-byte code would add 2 bytes,
+        # an 8-byte list slot per relation 6, a boxed int per relation 28
+        wide, _ = _bytes_per_relation(_box_walk(0, 60, 40), SEVEN_BANDS)
         flicker, flicker_stored = _bytes_per_relation(_flicker_stream(0))
         assert flicker_stored == 2 * 45 * 300
         # every relation opens a run: its code and two 8-byte run entries
         with capsys.disabled():
             print(
-                f"\n[storage] consecutive: {per_relation:.1f} B/relation (bound 12); "
-                f"flicker: {flicker:.1f} B/relation (bound 24)"
+                f"\n[storage] consecutive: {per_relation:.1f} B/relation (bound 10), "
+                f"7 bands {wide:.1f} (bound 12); flicker: {flicker:.1f} B/relation (bound 22)"
             )
-        assert per_relation <= 12
-        assert flicker <= 24
+        assert per_relation <= 10
+        assert wide <= 12
+        assert flicker <= 22
 
-    def test_histories_hold_typed_arrays(self):
-        builder = Builder("walk")
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SEVEN_BANDS], ids=["5 bands", "7 bands"])
+    def test_histories_hold_typed_arrays(self, cfg):
+        n_bands = len(cfg.qdc_band_names)
+        builder = Builder("walk", cfg)
         for frame in _flicker_stream(1, 6, 12):
             builder.push_frame(frame)
         graph = builder.graph
@@ -813,43 +847,56 @@ class TestStorage:
         assert loaded == graph
         for g in (graph, loaded):
             for history in g.edges.values():
-                _assert_typed(history)
+                _assert_typed(history, n_bands)
         built = EdgeHistory([700, 701, 700], [4, 0, 9, 2])
-        _assert_typed(built)
+        _assert_typed(built, MAX_BANDS)  # a hand-built history holds any code
         assert list(built.codes) == [700, 701, 700] and list(built.runs) == [4, 0, 9, 2]
         # the fault the benchmark's harness test injects: a list into codes[:]
         for (a, b), history in graph.edges.items():
             history.codes[:] = [code ^ 1 for code in history.codes]
-            _assert_typed(history)
+            _assert_typed(history, n_bands)
             assert list(history.codes) == [code ^ 1 for code in loaded.pairs[a][b].codes]
+        # and an array of the 4-byte width or of the history's own
+        for (a, b), history in graph.edges.items():
+            for typecode in ("I", history.codes.typecode):
+                history.codes[:] = array(typecode, loaded.pairs[a][b].codes)
+                _assert_typed(history, n_bands)
+        assert graph == loaded
 
-    def test_edge_values_survive_every_path(self):
-        """The top code at MAX_BANDS bands and frames at both signed 64-bit
-        limits, through append, tail, code_chain, export and import."""
-        bands = tuple(f"band{i}" for i in range(MAX_BANDS))
-        top = 13 * 13 * 4 * 4 * MAX_BANDS * 4 - 1
-        assert top == 692_223 == pack_code(12, 12, 3, 3, MAX_BANDS - 1, 3, MAX_BANDS)
+    @pytest.mark.parametrize("n_bands, top", [(6, 64_895), (7, 75_711), (MAX_BANDS, 692_223)])
+    def test_edge_values_survive_every_path(self, n_bands, top):
+        """The top code at 6 bands (the last that fits 2 bytes), 7 and
+        MAX_BANDS bands, and frames at both signed 64-bit limits, through
+        append, tail, code_chain, export and import."""
+        bands = tuple(f"band{i}" for i in range(n_bands))
+        assert top == 13 * 13 * 4 * 4 * n_bands * 4 - 1 == pack_code(12, 12, 3, 3, n_bands - 1, 3, n_bands)
         low, high = -(2**63), 2**63 - 1
         relations = [(low, top), (low + 1, 0), (high - 1, 5), (high, top)]
-        history = EdgeHistory()
-        for frame, code in relations:
-            history.append(frame, code)
-        assert list(history.runs) == [low, 0, high - 1, 2]
-        assert history.frames == [f for f, _ in relations] and list(history.codes) == [c for _, c in relations]
-        for at_frame in (low, low + 1, 0, high - 1, high):
-            for t in range(6):
-                frames, codes = history.tail(at_frame, t)
-                assert list(zip(frames, codes)) == _model_chain(relations, at_frame, t)
-        graph = QXG("edges", bands, {"a": "car", "b": "car"}, {"a": {"b": history}, "b": {}})
-        assert graph.code_chain("a", "b", high, 4) == relations
-        back = [(f, converse_code(c, MAX_BANDS)) for f, c in relations]
-        assert graph.code_chain("b", "a", high, 4) == back
-        assert graph.decode(top).qdc.band_name == bands[-1]
-        blob = export_graph(graph)
-        assert f'"frame":{low},'.encode() in blob and f'"frame":{high},'.encode() in blob
-        loaded = import_graph(blob)
-        assert loaded == graph and export_graph(loaded) == blob
-        assert loaded.code_chain("b", "a", high, 4) == back
+        graph = QXG("edges", bands, {"a": "car", "b": "car"})
+        # a hand-built history (4 bytes) and one as the builder makes it
+        narrow = EdgeHistory(_Codes("H" if n_bands <= 6 else "I"))
+        for history, width in ((EdgeHistory(), MAX_BANDS), (narrow, n_bands)):
+            for frame, code in relations:
+                history.append(frame, code)
+            _assert_typed(history, width)
+            assert list(history.runs) == [low, 0, high - 1, 2]
+            assert history.frames == [f for f, _ in relations]
+            assert list(history.codes) == [c for _, c in relations]
+            for at_frame in (low, low + 1, 0, high - 1, high):
+                for t in range(6):
+                    frames, codes = history.tail(at_frame, t)
+                    assert list(zip(frames, codes)) == _model_chain(relations, at_frame, t)
+            graph.pairs = {"a": {"b": history}, "b": {}}
+            assert graph.code_chain("a", "b", high, 4) == relations
+            back = [(f, converse_code(c, n_bands)) for f, c in relations]
+            assert graph.code_chain("b", "a", high, 4) == back
+            assert graph.decode(top).qdc.band_name == bands[-1]
+            blob = export_graph(graph)
+            assert f'"frame":{low},'.encode() in blob and f'"frame":{high},'.encode() in blob
+            loaded = import_graph(blob)
+            assert loaded == graph and export_graph(loaded) == blob
+            _assert_typed(loaded.pairs["a"]["b"], n_bands)
+            assert loaded.code_chain("b", "a", high, 4) == back
 
     def test_graph_json_refuses_more_bands_than_a_code_holds(self):
         payload = json.loads(export_graph(build(_flicker_scene(2))))
@@ -860,8 +907,9 @@ class TestStorage:
             f"not a serialized scene graph: at most {MAX_BANDS} distance bands, got {MAX_BANDS + 1}"
         )
 
-    def test_pickled_and_deep_copied_graphs_equal_the_original(self):
-        graph = build(_flicker_scene(3))
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SEVEN_BANDS], ids=["5 bands", "7 bands"])
+    def test_pickled_and_deep_copied_graphs_equal_the_original(self, cfg):
+        graph = build(_flicker_scene(3), cfg)
         assert sum(map(len, graph.pairs.values())) > 5
         for copied in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
             assert copied == graph and copied is not graph
@@ -870,7 +918,7 @@ class TestStorage:
                 for b, history in row.items():
                     assert history.codes is not graph.pairs[a][b].codes
                     assert type(history.codes) is _Codes
-                    _assert_typed(history)
+                    _assert_typed(history, len(cfg.qdc_band_names))
                     history.codes[:] = list(history.codes)  # a list slice, as on the original
                     assert history == graph.pairs[a][b]
 

@@ -442,6 +442,29 @@ class TestExplain:
         )
         assert result.returncode == 1 and "unknown actor" in result.stderr
 
+    def test_an_actor_first_seen_after_the_query_is_unknown(
+        self, corpus, manifest, model_file, tmp_path, capsys
+    ):
+        entry = _entry(manifest, "StoppingForCrosser")
+        scene, annotations, causes = load_trace((corpus / entry["file"]).read_bytes())
+        at = entry["frame"] - 2
+        late = ObjectState("late", "cyclist", BBox2D.from_bounds(-1.0, 1.0, 4.0, 6.0))
+        frames = tuple(
+            frame if frame.index <= at else Frame(frame.index, frame.timestamp, frame.objects + (late,))
+            for frame in scene.frames
+        )
+        trace = tmp_path / "late.jsonl"
+        trace.write_bytes(serialize_scene(Scene(scene.scene_id, frames), annotations, causes))
+        argv = ["explain", "--trace", str(trace), "--model", str(model_file), "--action", "Stopping"]
+        assert main([*argv, "--actor", "late", "--frame", str(at)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: explain: unknown actor 'late' in {scene.scene_id} at or before frame {at}\n"
+        )
+        assert main([*argv, "--actor", "late", "--frame", str(at + 1)]) == 0
+        assert "candidates" in json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize("frame", ["-5", "999"])
     def test_frame_outside_the_trace(self, corpus, manifest, model_file, frame):
         entry = _entry(manifest, "StoppingForCrosser")
